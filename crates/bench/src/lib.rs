@@ -276,6 +276,13 @@ where
     )
 }
 
+/// Whether [`measure_seven_point_scheduled`] runs `variant` on the thread
+/// team it is handed: exactly the engine-backed variants do; every other
+/// variant executes on the calling thread alone.
+pub fn stencil_variant_uses_team(variant: &str) -> bool {
+    matches!(variant, "temporal only" | "3.5D blocking" | "tile 3.5D")
+}
+
 /// [`measure_seven_point`] with an explicit temporal-blocking schedule
 /// for the engine-backed variants (`temporal only`, `3.5D blocking`,
 /// `tile 3.5D`); the other variants ignore it.

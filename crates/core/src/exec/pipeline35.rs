@@ -133,9 +133,11 @@ pub fn parallel35d_sweep<T: Real, K: StencilKernel<T>>(
 /// episode, and [`Observer::disabled`] never reads the clock — the hot
 /// loop is bit-identical to the unobserved fast path.
 ///
-/// On `Err` the grid contents are unspecified (a chunk may be partially
-/// committed); callers that need rollback must snapshot first, as
-/// [`run_plan`](../../threefive/fn.run_plan.html) does.
+/// On `Err` the destination of the failing chunk is unspecified (it may
+/// be partially committed) but its source is untouched: a call of at most
+/// `dim_T` steps is one chunk and leaves the input intact, which is how
+/// [`run_plan`](../../threefive/fn.run_plan.html) rolls back without a
+/// snapshot. Callers of longer runs must keep the input themselves.
 pub fn try_parallel35d_sweep<T: Real, K: StencilKernel<T>>(
     kernel: &K,
     grids: &mut DoubleGrid<T>,

@@ -111,6 +111,30 @@ impl<T: Real> Grid3<T> {
         self.data.copy_from_slice(&src.data);
     }
 
+    /// Copies the width-`r` boundary shell of `src` into `self` — exactly
+    /// the cells a Dirichlet sweep of radius `r` never writes. O(n²)
+    /// elements for a fixed `r`; the interior is left untouched.
+    ///
+    /// # Panics
+    /// Panics if the dimensions differ.
+    pub fn copy_rim_from(&mut self, src: &Self, r: usize) {
+        assert_eq!(self.dim, src.dim, "Grid3::copy_rim_from dimension mismatch");
+        let dim = self.dim;
+        let inner = dim.interior_region(r);
+        let (xs, ys, zs) = (inner.xs(), inner.ys(), inner.zs());
+        for z in 0..dim.nz {
+            for y in 0..dim.ny {
+                let (to, from) = (self.row_mut(y, z), src.row(y, z));
+                if zs.contains(&z) && ys.contains(&y) {
+                    to[..xs.start].copy_from_slice(&from[..xs.start]);
+                    to[xs.end..].copy_from_slice(&from[xs.end..]);
+                } else {
+                    to.copy_from_slice(from);
+                }
+            }
+        }
+    }
+
     /// Fills a region with `value`.
     pub fn fill_region(&mut self, region: &Region3, value: T) {
         for z in region.zs() {
@@ -232,6 +256,28 @@ mod tests {
         let a = Grid3::<f32>::splat(d, 1.0);
         let b = Grid3::<f32>::splat(d, 2.0);
         a.assert_close(&b, &d.full_region(), 1e-6);
+    }
+
+    #[test]
+    fn copy_rim_from_copies_the_shell_and_nothing_else() {
+        for (d, r) in [
+            (Dim3::new(7, 6, 5), 1usize),
+            (Dim3::new(9, 8, 7), 2),
+            (Dim3::new(5, 2, 5), 1), // no interior: everything is rim
+            (Dim3::cube(4), 0),      // no rim at all
+        ] {
+            let src = Grid3::<f32>::from_fn(d, |x, y, z| (1 + d.idx(x, y, z)) as f32);
+            let mut dst = Grid3::<f32>::splat(d, -1.0);
+            dst.copy_rim_from(&src, r);
+            for (x, y, z) in d.full_region().points() {
+                let want = if d.is_interior(x, y, z, r) {
+                    -1.0
+                } else {
+                    src.get(x, y, z)
+                };
+                assert_eq!(dst.get(x, y, z), want, "{d} r={r} at ({x},{y},{z})");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The lattice container: double-buffered distributions, flags, and
 //! observables.
 
+use threefive_core::verify::first_non_finite;
 use threefive_grid::{AlignedVec, CellFlags, CellKind, Dim3, Real, SoaGrid};
 
 use crate::model::{equilibrium_site, C, Q};
+use crate::LbmError;
 
 /// Macroscopic state of one lattice site.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -18,9 +20,15 @@ pub struct Macroscopic<T> {
 /// destination, swapped each step), per-site flags, and the static
 /// "simple" mask marking fluid sites with no obstacle neighbor (eligible
 /// for branch-free SIMD updates).
+///
+/// Like [`DoubleGrid`](threefive_grid::DoubleGrid), the lattice can park
+/// one *spare* distribution grid: scratch memory a driver that swapped a
+/// third buffer in ([`replace_dst`](Lattice::replace_dst)) leaves behind
+/// so its next job on this lattice faults in nothing.
 pub struct Lattice<T: Real> {
     grids: [SoaGrid<T>; 2],
     src_is_zero: bool,
+    spare: Option<SoaGrid<T>>,
     flags: CellFlags,
     simple: AlignedVec<u8>,
     /// Relaxation rate ω = 1/τ.
@@ -71,6 +79,7 @@ impl<T: Real> Lattice<T> {
         Self {
             grids,
             src_is_zero: true,
+            spare: None,
             flags,
             simple,
             omega,
@@ -121,6 +130,54 @@ impl<T: Real> Lattice<T> {
     /// Swaps source and destination (O(1)).
     pub fn swap(&mut self) {
         self.src_is_zero = !self.src_is_zero;
+    }
+
+    /// Installs `new_dst` as the destination and returns the grid it
+    /// displaces — an O(1) pointer move. Every executor writes all `Q`
+    /// components of every destination site each step, so the contents
+    /// of `new_dst` never reach a result.
+    ///
+    /// # Panics
+    /// Panics if `new_dst` has different extents or component count.
+    pub fn replace_dst(&mut self, new_dst: SoaGrid<T>) -> SoaGrid<T> {
+        assert!(
+            self.fits(&new_dst),
+            "Lattice::replace_dst dimension mismatch"
+        );
+        std::mem::replace(self.dst_mut(), new_dst)
+    }
+
+    /// Takes the parked spare grid, if there is one.
+    pub fn take_spare(&mut self) -> Option<SoaGrid<T>> {
+        self.spare.take()
+    }
+
+    /// Parks `grid` as the spare, replacing any previous one. A grid of
+    /// different extents or component count is dropped instead.
+    pub fn park_spare(&mut self, grid: SoaGrid<T>) {
+        self.spare = self.fits(&grid).then_some(grid);
+    }
+
+    fn fits(&self, grid: &SoaGrid<T>) -> bool {
+        grid.dim() == self.dim() && grid.q_count() == Q
+    }
+
+    /// NaN/±∞ guard over every distribution component of the source grid:
+    /// the first offender in component order, then row-major site order.
+    /// Runs on the same scanner as the stencil guard
+    /// ([`first_non_finite`]).
+    pub fn check_finite(&self) -> Result<(), LbmError> {
+        let src = self.src();
+        for q in 0..Q {
+            if let Some(i) = first_non_finite(src.comp(q)) {
+                return Err(LbmError::NonFinite {
+                    comp: q,
+                    at: self.dim().coords(i),
+                    value: src.comp(q)[i].to_f64(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Splits the lattice into all the parts one time step needs: flags,
@@ -374,6 +431,33 @@ mod tests {
         lat.swap();
         let m2 = lat.macroscopic(2, 2, 2);
         assert!((m2.rho.to_f64() - 1.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn replace_dst_and_spare_move_buffers_without_copying() {
+        let d = Dim3::cube(5);
+        let mut lat = scenarios::closed_box::<f32>(d, 1.0);
+        let old_dst = lat.dst().comp(0).as_ptr();
+        let third = SoaGrid::<f32>::zeros(d, Q);
+        let third_ptr = third.comp(0).as_ptr();
+        let displaced = lat.replace_dst(third);
+        assert_eq!(displaced.comp(0).as_ptr(), old_dst);
+        assert_eq!(lat.dst().comp(0).as_ptr(), third_ptr);
+
+        assert!(lat.take_spare().is_none());
+        lat.park_spare(SoaGrid::zeros(Dim3::cube(4), Q));
+        assert!(lat.take_spare().is_none(), "mismatched spare is dropped");
+        lat.park_spare(SoaGrid::zeros(d, 3));
+        assert!(lat.take_spare().is_none(), "wrong arity is dropped");
+        lat.park_spare(displaced);
+        assert_eq!(lat.take_spare().unwrap().comp(0).as_ptr(), old_dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn replace_dst_rejects_other_extents() {
+        let mut lat = scenarios::closed_box::<f32>(Dim3::cube(5), 1.0);
+        lat.replace_dst(SoaGrid::zeros(Dim3::cube(6), Q));
     }
 
     #[test]

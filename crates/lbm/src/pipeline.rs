@@ -217,9 +217,11 @@ pub fn lbm35d_sweep<T: Real>(
 /// plane span per streamed Z plane × time level and one barrier span per
 /// episode, and [`Observer::disabled`] never reads the clock.
 ///
-/// On `Err` the lattice contents are unspecified (a chunk may be
-/// partially committed); callers that need rollback must snapshot first,
-/// as the facade's `run_lbm_plan` ladder does.
+/// On `Err` the destination of the failing chunk is unspecified (it may
+/// be partially committed) but its source is untouched: a call of at most
+/// `dim_T` steps is one chunk and leaves the input intact, which is how
+/// the facade's `run_lbm_plan` ladder rolls back without a snapshot.
+/// Callers of longer runs must keep the input themselves.
 pub fn try_lbm35d_sweep<T: Real>(
     lat: &mut Lattice<T>,
     steps: usize,

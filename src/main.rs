@@ -27,8 +27,8 @@ use threefive::bench::probe::ProbeWorkload;
 use threefive::bench::report::{BenchEntry, BenchReport, HostInfo};
 use threefive::bench::service::ServiceReport;
 use threefive::bench::{
-    measure_lbm_scheduled, measure_seven_point_scheduled, BenchConfig, Measurement, LBM_VARIANTS,
-    STENCIL_VARIANTS,
+    measure_lbm_scheduled, measure_seven_point_scheduled, stencil_variant_uses_team, BenchConfig,
+    Measurement, LBM_VARIANTS, STENCIL_VARIANTS,
 };
 use threefive::cli::{self, CliError};
 use threefive::gpu::kernels::{
@@ -377,6 +377,19 @@ fn cmd_run(opts: &Opts) -> Result<(), CmdError> {
             parse_schedule(opts)?,
         ),
     };
+    // A single-threaded variant reports one thread — whatever the host or
+    // the tuner database would have picked — and refuses to be told more.
+    let threads = if !stencil_variant_uses_team(label) {
+        if cli::get(opts, "threads", 1usize)? > 1 {
+            return Err(CmdError::Msg(format!(
+                "--threads requires a variant that runs on a thread team \
+                 (temporal, 35d or tile35), not '{variant}', which is single-threaded"
+            )));
+        }
+        1
+    } else {
+        threads
+    };
     let dim = Dim3::cube(n);
     let team = ThreadTeam::new(threads);
     // Blocking parameters come straight from the user; the harness routes
@@ -407,7 +420,7 @@ fn cmd_run(opts: &Opts) -> Result<(), CmdError> {
     };
     println!(
         "7-point {} on {dim}, {steps} steps, variant {variant}, schedule {schedule}, \
-         {threads} threads",
+         {threads} thread(s)",
         if dp { "DP" } else { "SP" }
     );
     println!(

@@ -6,15 +6,27 @@
 //! spatial blocking → scalar reference — whenever the planner rejects the
 //! configuration ([`PlanError`]) or a run fails at execution time (member
 //! panic, watchdog timeout, non-finite output). Every executor in the
-//! ladder is bit-exact with the reference sweep, and the driver snapshots
-//! the source grid before each attempt and rolls back before retrying, so
-//! **the result is bit-identical no matter which rung finally serves the
-//! request**; only throughput degrades.
+//! ladder is bit-exact with the reference sweep, and the driver keeps the
+//! input buffer intact through every attempt and hands it back as the
+//! source before retrying, so **the result is bit-identical no matter
+//! which rung finally serves the request**; only throughput degrades.
+//!
+//! # Keeping the input instead of copying it
+//!
+//! A pass reads `src` and writes only `dst`, so the input survives the
+//! first pass of any rung for free (`dim_T` steps on the 3.5-D rungs, one
+//! step on the others). Before a second pass would overwrite it, the
+//! driver swaps the input out of the pair for a third buffer — an O(1)
+//! pointer move — and ping-pongs the remaining steps between the other
+//! two. Success parks the input buffer with the pair as its warm spare
+//! (the next job on the same pair faults in no memory); failure moves it
+//! back in as `src`. No grid is ever copied, and a job of at most `dim_T`
+//! steps never sees a third buffer at all.
 //!
 //! [`run_lbm_plan`] drives the same protocol for the lattice Boltzmann
 //! workload, whose pipeline runs on the same streaming engine: parallel
-//! 3.5-D → serial 3.5-D → naive SIMD → naive scalar, with per-attempt
-//! lattice snapshots and the same bit-identical rollback guarantee.
+//! 3.5-D → serial 3.5-D → naive SIMD → naive scalar, with the same
+//! keep-the-input rollback and bit-identical guarantee.
 //!
 //! Failures never escape as panics or hangs: worker panics poison the
 //! per-Z-step barrier and drain the team (see
@@ -24,6 +36,7 @@
 //! caught by the [`check_finite`] guard after every attempt.
 
 use std::fmt;
+use std::ops::Add;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -33,7 +46,7 @@ use threefive_core::exec::{
 use threefive_core::stats::SweepStats;
 use threefive_core::verify::check_finite;
 use threefive_core::{ExecError, Plan35D, PlanError, StencilKernel};
-use threefive_grid::{DoubleGrid, Grid3, Real};
+use threefive_grid::{DoubleGrid, Grid3, Real, SoaGrid};
 use threefive_lbm::{lbm_naive_sweep, try_lbm35d_sweep, Lattice, LbmBlocking, LbmError, LbmMode};
 use threefive_sync::{Observer, SyncError, ThreadTeam, TraceEventKind};
 
@@ -133,13 +146,18 @@ impl Default for RunOptions {
 /// [`PlanError`] (kernel already compute-bound, cache too small) skips
 /// both 3.5-D rungs and lands on 2.5-D spatial blocking — the paper's own
 /// prescription for those regimes. Execution-time failures (member panic,
-/// watchdog timeout, non-finite values) roll the grid back to the
-/// pre-attempt snapshot and retry one rung down, so the final contents are
+/// watchdog timeout, non-finite values) hand the untouched input buffer
+/// back as the source and retry one rung down, so the final contents are
 /// bit-identical to [`reference_sweep`] regardless of the serving rung.
 ///
 /// Returns the serving rung, its stats, and the downgrade trail. `Err` is
 /// reserved for unrecoverable states: non-finite *input*, or a reference
-/// sweep that itself produced non-finite values (a broken kernel).
+/// sweep that itself produced non-finite values (a broken kernel); the
+/// source grid is the input again in both cases.
+///
+/// A job of more than `dim_T` steps leaves a third grid parked with the
+/// pair (see [`DoubleGrid::park_spare`]); the caller's source buffer may
+/// therefore be a different allocation afterwards.
 pub fn run_plan<T: Real, K: StencilKernel<T>>(
     kernel: &K,
     grids: &mut DoubleGrid<T>,
@@ -197,7 +215,14 @@ pub fn run_plan_on_team<T: Real, K: StencilKernel<T>>(
         check_finite(grids.src())?;
     }
     let dim = grids.dim();
-    let snapshot = grids.src().clone();
+    let rim = kernel.radius();
+    let finite = |g: &DoubleGrid<T>| {
+        if opts.verify_finite {
+            check_finite(g.src())
+        } else {
+            Ok(())
+        }
+    };
     let mut downgrades: Vec<Downgrade> = Vec::new();
     let mut quarantined = false;
     let mut downgrade = |from: Rung, reason: ExecError, log: bool| {
@@ -255,25 +280,19 @@ pub fn run_plan_on_team<T: Real, K: StencilKernel<T>>(
                     &owned
                 }
             };
-            match try_parallel35d_sweep(kernel, grids, steps, b, team, deadline, obs) {
-                Ok(stats) => match finite_ok(grids, opts) {
-                    Ok(()) => {
-                        heal_mark(quarantined);
-                        return Ok(RunReport {
-                            rung,
-                            stats,
-                            downgrades,
-                        });
-                    }
-                    Err(e) => {
-                        downgrade(rung, e, opts.log);
-                        restore(grids, &snapshot);
-                    }
-                },
-                Err(e) => {
-                    downgrade(rung, e, opts.log);
-                    restore(grids, &snapshot);
+            let sweep = |g: &mut DoubleGrid<T>, n: usize| {
+                try_parallel35d_sweep(kernel, g, n, b, team, deadline, obs)
+            };
+            match attempt(grids, steps, b.dim_t, rim, sweep, finite) {
+                Ok(stats) => {
+                    heal_mark(quarantined);
+                    return Ok(RunReport {
+                        rung,
+                        stats,
+                        downgrades,
+                    });
                 }
+                Err(e) => downgrade(rung, e, opts.log),
             }
             if team.is_quarantined() {
                 // The failed run left a stalled generation behind; the
@@ -295,39 +314,27 @@ pub fn run_plan_on_team<T: Real, K: StencilKernel<T>>(
         ),
         Err(_) => (dim.nx.max(1), dim.ny.max(1)),
     };
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        blocked25d_sweep(kernel, grids, steps, tx, ty)
-    }));
-    match attempt {
-        Ok(stats) => match finite_ok(grids, opts) {
-            Ok(()) => {
-                heal_mark(quarantined);
-                return Ok(RunReport {
-                    rung: Rung::Blocked25D,
-                    stats,
-                    downgrades,
-                });
-            }
-            Err(e) => {
-                downgrade(Rung::Blocked25D, e, opts.log);
-                restore(grids, &snapshot);
-            }
-        },
-        Err(_) => {
-            downgrade(
-                Rung::Blocked25D,
-                ExecError::Sync(SyncError::TeamPanicked { generation: 0 }),
-                opts.log,
-            );
-            restore(grids, &snapshot);
+    let sweep = |g: &mut DoubleGrid<T>, n: usize| {
+        catch_unwind(AssertUnwindSafe(|| blocked25d_sweep(kernel, g, n, tx, ty)))
+            .map_err(|_| ExecError::Sync(SyncError::TeamPanicked { generation: 0 }))
+    };
+    match attempt(grids, steps, 1, rim, sweep, finite) {
+        Ok(stats) => {
+            heal_mark(quarantined);
+            return Ok(RunReport {
+                rung: Rung::Blocked25D,
+                stats,
+                downgrades,
+            });
         }
+        Err(e) => downgrade(Rung::Blocked25D, e, opts.log),
     }
 
     // Last rung: the scalar reference. If even this produces non-finite
     // values the kernel itself is numerically broken — that is not
     // recoverable by falling further, so it surfaces as `Err`.
-    let stats = reference_sweep(kernel, grids, steps);
-    finite_ok(grids, opts)?;
+    let sweep = |g: &mut DoubleGrid<T>, n: usize| Ok(reference_sweep(kernel, g, n));
+    let stats = attempt(grids, steps, 1, rim, sweep, finite)?;
     heal_mark(quarantined);
     Ok(RunReport {
         rung: Rung::Reference,
@@ -336,18 +343,165 @@ pub fn run_plan_on_team<T: Real, K: StencilKernel<T>>(
     })
 }
 
-fn finite_ok<T: Real>(grids: &DoubleGrid<T>, opts: &RunOptions) -> Result<(), ExecError> {
-    if opts.verify_finite {
-        check_finite(grids.src())
-    } else {
-        Ok(())
+/// What the keep-the-input protocol ([`attempt`]) needs from a
+/// double-buffered workload: buffer identities, and O(1) buffer moves.
+trait KeepInput {
+    /// One buffer of the pair.
+    type Buf;
+
+    /// Identity (base address) of the buffer currently read.
+    fn src_id(&self) -> usize;
+
+    /// Identity (base address) of the buffer currently written.
+    fn dst_id(&self) -> usize;
+
+    /// Exchanges the source and destination roles.
+    fn swap(&mut self);
+
+    /// A third buffer fit to stand in for the current destination: the
+    /// parked spare if there is one, else a fresh allocation. `rim` is the
+    /// width of the boundary shell the executors leave unwritten (0 when
+    /// they write every site); that shell is copied from the current
+    /// destination so results computed into the third buffer carry the
+    /// same boundary values.
+    fn third(&mut self, rim: usize) -> Self::Buf;
+
+    /// Installs `buf` as the destination; returns the displaced buffer.
+    fn replace_dst(&mut self, buf: Self::Buf) -> Self::Buf;
+
+    /// Parks `buf` with the pair as its warm spare.
+    fn park_spare(&mut self, buf: Self::Buf);
+}
+
+impl<T: Real> KeepInput for DoubleGrid<T> {
+    type Buf = Grid3<T>;
+
+    fn src_id(&self) -> usize {
+        self.src().as_slice().as_ptr() as usize
+    }
+
+    fn dst_id(&self) -> usize {
+        self.dst().as_slice().as_ptr() as usize
+    }
+
+    fn swap(&mut self) {
+        DoubleGrid::swap(self);
+    }
+
+    fn third(&mut self, rim: usize) -> Grid3<T> {
+        let mut third = self
+            .take_spare()
+            .unwrap_or_else(|| Grid3::zeros(self.dim()));
+        third.copy_rim_from(self.dst(), rim);
+        third
+    }
+
+    fn replace_dst(&mut self, buf: Grid3<T>) -> Grid3<T> {
+        DoubleGrid::replace_dst(self, buf)
+    }
+
+    fn park_spare(&mut self, buf: Grid3<T>) {
+        DoubleGrid::park_spare(self, buf);
     }
 }
 
-/// Rolls both buffers back to the pre-attempt state so the next rung sees
-/// exactly the input the failed rung saw (the bit-identical guarantee).
-fn restore<T: Real>(grids: &mut DoubleGrid<T>, snapshot: &Grid3<T>) {
-    *grids = DoubleGrid::from_initial(snapshot.clone());
+impl<T: Real> KeepInput for Lattice<T> {
+    type Buf = SoaGrid<T>;
+
+    fn src_id(&self) -> usize {
+        self.src().comp(0).as_ptr() as usize
+    }
+
+    fn dst_id(&self) -> usize {
+        self.dst().comp(0).as_ptr() as usize
+    }
+
+    fn swap(&mut self) {
+        Lattice::swap(self);
+    }
+
+    // Every LBM rung writes all components of every destination site each
+    // step (non-fluid sites are copied from the source), so there is no
+    // rim to carry over.
+    fn third(&mut self, _rim: usize) -> SoaGrid<T> {
+        self.take_spare()
+            .unwrap_or_else(|| SoaGrid::zeros(self.dim(), threefive_lbm::model::Q))
+    }
+
+    fn replace_dst(&mut self, buf: SoaGrid<T>) -> SoaGrid<T> {
+        Lattice::replace_dst(self, buf)
+    }
+
+    fn park_spare(&mut self, buf: SoaGrid<T>) {
+        Lattice::park_spare(self, buf);
+    }
+}
+
+/// Runs one rung as "first pass, swap the input out, rest", checks the
+/// result, and on any failure puts the pair back exactly as it was handed
+/// in — without ever copying a grid.
+///
+/// `sweep(pair, n)` advances the pair `n` steps and leaves the result in
+/// `src`; `first` is how many steps its first pass covers, i.e. how long
+/// the input survives untouched in the other buffer. The states:
+///
+/// 1. **First pass** (`min(first, steps)` steps): reads the input,
+///    writes only the destination. The input is intact whatever happens.
+/// 2. **Swap-out** (only if steps remain): the input now sits in the
+///    destination slot, which the next pass would overwrite. It is moved
+///    out of the pair for a [`third`](KeepInput::third) buffer and held
+///    here; the remaining steps ping-pong between the other two.
+/// 3. **Success**: the held input buffer is parked as the pair's spare.
+/// 4. **Failure** (sweep error or `check` rejection, in any state): the
+///    input goes back in as `src` next to the original destination buffer
+///    — whose unwritten rim is therefore the original one — and the third
+///    buffer is parked. The next rung sees what this one saw.
+fn attempt<P: KeepInput, S: Add<Output = S>, E>(
+    pair: &mut P,
+    steps: usize,
+    first: usize,
+    rim: usize,
+    mut sweep: impl FnMut(&mut P, usize) -> Result<S, E>,
+    check: impl FnOnce(&P) -> Result<(), E>,
+) -> Result<S, E> {
+    let input = pair.src_id();
+    let first = first.min(steps);
+    // The input buffer once it is out of the pair, with the identity of
+    // the buffer the first pass wrote.
+    let mut kept: Option<(P::Buf, usize)> = None;
+    let outcome = (|| {
+        let mut done = sweep(pair, first)?;
+        if steps > first {
+            // A sweep over a grid without interior is a no-op that never
+            // swaps; the input then stays in `src`, out of harm's way.
+            if pair.dst_id() == input {
+                let pass1 = pair.src_id();
+                let third = pair.third(rim);
+                kept = Some((pair.replace_dst(third), pass1));
+            }
+            done = done + sweep(pair, steps - first)?;
+        }
+        check(pair)?;
+        Ok(done)
+    })();
+    match (&outcome, kept) {
+        (Ok(_), Some((input_buf, _))) => pair.park_spare(input_buf),
+        (Ok(_), None) => {}
+        (Err(_), Some((input_buf, pass1))) => {
+            if pair.src_id() != pass1 {
+                pair.swap();
+            }
+            let third = pair.replace_dst(input_buf);
+            pair.swap();
+            pair.park_spare(third);
+        }
+        (Err(_), None) => {
+            if pair.src_id() != input {
+                pair.swap();
+            }
+        }
+    }
+    outcome
 }
 
 /// One rung of the lattice-Boltzmann executor ladder, fastest first.
@@ -414,17 +568,19 @@ pub struct LbmRunReport {
 ///
 /// Rungs: parallel 3.5-D (team of `opts.threads`, watchdog
 /// `opts.deadline`) → serial 3.5-D (one-member team, no deadline) → naive
-/// SIMD → naive scalar. The lattice's source distributions are
-/// snapshotted before the first attempt and restored before each retry,
-/// and every rung is bit-exact with the naive scalar sweep, so the final
-/// lattice is bit-identical regardless of the serving rung. Ladder
+/// SIMD → naive scalar. The input distributions are kept intact through
+/// every attempt and handed back as the source before each retry (the
+/// protocol of [`run_plan`], minus the rim copy: every LBM rung writes
+/// all 19 components of every destination site each step), and every rung
+/// is bit-exact with the naive scalar sweep, so the final lattice is
+/// bit-identical regardless of the serving rung. Ladder
 /// transitions are marked on `obs` exactly as in [`run_plan_observed`]
 /// (Fallback / Quarantine / Heal instants, encoded via
 /// [`LbmRung::ladder_index`]).
 ///
 /// `Err` is reserved for unrecoverable states: non-finite input
 /// distributions, or a scalar sweep that itself produced non-finite
-/// values.
+/// values; the source distributions are the input again in both cases.
 pub fn run_lbm_plan<T: Real>(
     lat: &mut Lattice<T>,
     steps: usize,
@@ -449,11 +605,15 @@ pub fn run_lbm_plan_on_team<T: Real>(
     obs: &Observer<'_>,
 ) -> Result<LbmRunReport, LbmError> {
     if opts.verify_finite {
-        lbm_finite_ok(lat)?;
+        lat.check_finite()?;
     }
-    let snapshot: Vec<Vec<T>> = (0..threefive_lbm::model::Q)
-        .map(|q| lat.src().comp(q).to_vec())
-        .collect();
+    let finite = |l: &Lattice<T>| {
+        if opts.verify_finite {
+            l.check_finite()
+        } else {
+            Ok(())
+        }
+    };
     let mut downgrades: Vec<LbmDowngrade> = Vec::new();
     let mut quarantined = false;
     let mut downgrade = |from: LbmRung, reason: LbmError, log: bool| {
@@ -487,25 +647,19 @@ pub fn run_lbm_plan_on_team<T: Real>(
                 &owned
             }
         };
-        match try_lbm35d_sweep(lat, steps, blocking, Some(team), deadline, obs) {
-            Ok(updates) => match finite_or_restore(lat, opts) {
-                Ok(()) => {
-                    heal_mark(quarantined);
-                    return Ok(LbmRunReport {
-                        rung,
-                        updates,
-                        downgrades,
-                    });
-                }
-                Err(e) => {
-                    downgrade(rung, e, opts.log);
-                    restore_lattice(lat, &snapshot);
-                }
-            },
-            Err(e) => {
-                downgrade(rung, e, opts.log);
-                restore_lattice(lat, &snapshot);
+        let sweep = |l: &mut Lattice<T>, n: usize| {
+            try_lbm35d_sweep(l, n, blocking, Some(team), deadline, obs)
+        };
+        match attempt(lat, steps, blocking.dim_t, 0, sweep, finite) {
+            Ok(updates) => {
+                heal_mark(quarantined);
+                return Ok(LbmRunReport {
+                    rung,
+                    updates,
+                    downgrades,
+                });
             }
+            Err(e) => downgrade(rung, e, opts.log),
         }
         if team.is_quarantined() {
             quarantined = true;
@@ -516,80 +670,30 @@ pub fn run_lbm_plan_on_team<T: Real>(
     // No-blocking SIMD sweep: no team, no rings. A panic here (it shares
     // the collision kernel with every other rung, so this is defensive)
     // degrades to the scalar baseline.
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        lbm_naive_sweep(lat, steps, LbmMode::Simd, None)
-    }));
-    match attempt {
-        Ok(updates) => match finite_or_restore(lat, opts) {
-            Ok(()) => {
-                heal_mark(quarantined);
-                return Ok(LbmRunReport {
-                    rung: LbmRung::NaiveSimd,
-                    updates,
-                    downgrades,
-                });
-            }
-            Err(e) => {
-                downgrade(LbmRung::NaiveSimd, e, opts.log);
-                restore_lattice(lat, &snapshot);
-            }
-        },
-        Err(_) => {
-            downgrade(
-                LbmRung::NaiveSimd,
-                LbmError::Sync(SyncError::TeamPanicked { generation: 0 }),
-                opts.log,
-            );
-            restore_lattice(lat, &snapshot);
+    let sweep = |l: &mut Lattice<T>, n: usize| {
+        catch_unwind(AssertUnwindSafe(|| {
+            lbm_naive_sweep(l, n, LbmMode::Simd, None)
+        }))
+        .map_err(|_| LbmError::Sync(SyncError::TeamPanicked { generation: 0 }))
+    };
+    match attempt(lat, steps, 1, 0, sweep, finite) {
+        Ok(updates) => {
+            heal_mark(quarantined);
+            return Ok(LbmRunReport {
+                rung: LbmRung::NaiveSimd,
+                updates,
+                downgrades,
+            });
         }
+        Err(e) => downgrade(LbmRung::NaiveSimd, e, opts.log),
     }
 
-    let updates = lbm_naive_sweep(lat, steps, LbmMode::Scalar, None);
-    if opts.verify_finite {
-        lbm_finite_ok(lat)?;
-    }
+    let sweep = |l: &mut Lattice<T>, n: usize| Ok(lbm_naive_sweep(l, n, LbmMode::Scalar, None));
+    let updates = attempt(lat, steps, 1, 0, sweep, finite)?;
     heal_mark(quarantined);
     Ok(LbmRunReport {
         rung: LbmRung::NaiveScalar,
         updates,
         downgrades,
     })
-}
-
-fn finite_or_restore<T: Real>(lat: &Lattice<T>, opts: &RunOptions) -> Result<(), LbmError> {
-    if opts.verify_finite {
-        lbm_finite_ok(lat)
-    } else {
-        Ok(())
-    }
-}
-
-/// NaN/∞ guard over every distribution component of the source lattice.
-fn lbm_finite_ok<T: Real>(lat: &Lattice<T>) -> Result<(), LbmError> {
-    let dim = lat.dim();
-    for q in 0..threefive_lbm::model::Q {
-        for (i, &v) in lat.src().comp(q).iter().enumerate() {
-            let v = v.to_f64();
-            if !v.is_finite() {
-                return Err(LbmError::NonFinite {
-                    comp: q,
-                    at: dim.coords(i),
-                    value: v,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Rolls the lattice back to the pre-attempt snapshot. Restoring the
-/// source distributions is sufficient for bit-identical retries: every
-/// rung writes all 19 components of every site of the destination each
-/// step (non-fluid sites are copied from the time-invariant source), so
-/// stale values in the other buffer cannot survive into the result.
-fn restore_lattice<T: Real>(lat: &mut Lattice<T>, snapshot: &[Vec<T>]) {
-    for (q, comp) in snapshot.iter().enumerate() {
-        lat.dst_mut().comp_mut(q).copy_from_slice(comp);
-    }
-    lat.swap();
 }

@@ -79,6 +79,70 @@ fn run_reports_interior_mups_with_warmup() {
     assert!(text.contains("barrier-wait share"), "{text}");
 }
 
+/// ROADMAP 1a: a variant that executes on no thread team must not print
+/// a thread count it never used — it refuses `--threads N > 1` naming
+/// the flag, and reports one thread otherwise. (Every `lbm` variant runs
+/// on the team, so there is nothing to refuse there.)
+#[test]
+fn run_refuses_threads_on_single_threaded_variants() {
+    for variant in ["ref", "simd", "25d", "3d", "4d"] {
+        let base = [
+            "run",
+            "--n",
+            "16",
+            "--steps",
+            "1",
+            "--db",
+            "none",
+            "--variant",
+            variant,
+        ];
+        let out = threefive(&[&base[..], &["--threads", "2"]].concat());
+        assert!(!out.status.success(), "{variant}: must exit nonzero");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--threads") && err.contains(variant),
+            "{variant}: names the flag and the variant: {err}"
+        );
+        assert!(!err.contains("panicked"), "no panic backtrace: {err}");
+
+        for explicit in [&["--threads", "1"][..], &[]] {
+            let out = threefive(&[&base[..], explicit].concat());
+            assert!(out.status.success(), "{variant}: {}", stderr(&out));
+            assert!(stdout(&out).contains("1 thread(s)"), "{}", stdout(&out));
+        }
+    }
+    for variant in ["temporal", "35d", "tile35"] {
+        let out = threefive(&[
+            "run",
+            "--n",
+            "16",
+            "--steps",
+            "2",
+            "--db",
+            "none",
+            "--variant",
+            variant,
+            "--threads",
+            "2",
+        ]);
+        assert!(out.status.success(), "{variant}: {}", stderr(&out));
+        assert!(stdout(&out).contains("2 thread(s)"), "{}", stdout(&out));
+    }
+    let out = threefive(&[
+        "lbm",
+        "--n",
+        "12",
+        "--steps",
+        "2",
+        "--variant",
+        "simd",
+        "--threads",
+        "2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
 #[test]
 fn bench_writes_schema_versioned_reports_that_validate() {
     let dir = scratch_dir("bench_out");
