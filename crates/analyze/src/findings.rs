@@ -59,17 +59,16 @@ impl Finding {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        let suppressed = match v.get("suppressed") {
-            Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err("finding.suppressed: expected string or null".into()),
-            None => return Err("finding: missing 'suppressed'".into()),
+        let suppressed = match v.req("suppressed")? {
+            Json::Null => None,
+            Json::Str(s) => Some(s.clone()),
+            _ => return Err("field 'suppressed' must be a string or null".into()),
         };
         Ok(Self {
-            rule: req_str(v, "rule")?,
-            file: req_str(v, "file")?,
-            line: req_u64(v, "line")? as usize,
-            message: req_str(v, "message")?,
+            rule: v.req_str("rule")?,
+            file: v.req_str("file")?,
+            line: v.req_u64("line")? as usize,
+            message: v.req_str("message")?,
             suppressed,
         })
     }
@@ -110,13 +109,13 @@ impl ModelCheckEntry {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(Self {
-            name: req_str(v, "name")?,
-            time_mode: req_str(v, "time_mode")?,
-            schedules: req_u64(v, "schedules")?,
-            steps: req_u64(v, "steps")?,
-            complete: req_bool(v, "complete")?,
-            bounded: req_bool(v, "bounded")?,
-            counterexample: req_bool(v, "counterexample")?,
+            name: v.req_str("name")?,
+            time_mode: v.req_str("time_mode")?,
+            schedules: v.req_u64("schedules")?,
+            steps: v.req_u64("steps")?,
+            complete: v.req_bool("complete")?,
+            bounded: v.req_bool("bounded")?,
+            counterexample: v.req_bool("counterexample")?,
         })
     }
 }
@@ -146,10 +145,10 @@ impl MutantEntry {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(Self {
-            mutation: req_str(v, "mutation")?,
-            model: req_str(v, "model")?,
-            caught: req_bool(v, "caught")?,
-            schedules: req_u64(v, "schedules")?,
+            mutation: v.req_str("mutation")?,
+            model: v.req_str("model")?,
+            caught: v.req_bool("caught")?,
+            schedules: v.req_u64("schedules")?,
         })
     }
 }
@@ -188,16 +187,12 @@ impl ModelCheckSection {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         let models = v
-            .get("models")
-            .and_then(Json::as_arr)
-            .ok_or("model_check: missing 'models' array")?
+            .req_arr("models")?
             .iter()
             .map(ModelCheckEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         let mutants = v
-            .get("mutants")
-            .and_then(Json::as_arr)
-            .ok_or("model_check: missing 'mutants' array")?
+            .req_arr("mutants")?
             .iter()
             .map(MutantEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -302,27 +297,25 @@ impl AnalyzeReport {
     /// Parses and schema-checks JSON text — the validation entry point.
     pub fn validate_str(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-        let schema_version = req_u64(&doc, "schema_version")?;
+        let schema_version = doc.req_u64("schema_version")?;
         if schema_version != ANALYZE_SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {schema_version} != {ANALYZE_SCHEMA_VERSION}"
             ));
         }
-        let tool = req_str(&doc, "tool")?;
+        let tool = doc.req_str("tool")?;
         if tool != "threefive-analyze" {
             return Err(format!("unexpected tool '{tool}'"));
         }
-        let lint = doc.get("lint").ok_or("missing 'lint'")?;
+        let lint = doc.req("lint")?;
         let findings = lint
-            .get("findings")
-            .and_then(Json::as_arr)
-            .ok_or("lint: missing 'findings' array")?
+            .req_arr("findings")?
             .iter()
             .map(Finding::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let schedule = doc.get("schedule").ok_or("missing 'schedule'")?;
-        let schedule_configs = match schedule.get("per_schedule") {
-            Some(Json::Obj(entries)) => entries
+        let schedule = doc.req("schedule")?;
+        let schedule_configs = match schedule.req("per_schedule")? {
+            Json::Obj(entries) => entries
                 .iter()
                 .map(|(name, v)| {
                     v.as_u64()
@@ -330,16 +323,11 @@ impl AnalyzeReport {
                         .ok_or_else(|| format!("per_schedule.{name}: expected integer"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("schedule: missing 'per_schedule' object".into()),
+            _ => return Err("field 'per_schedule' must be an object".into()),
         };
-        let race_free = match schedule.get("race_free") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("schedule: missing bool 'race_free'".into()),
-        };
+        let race_free = schedule.req_bool("race_free")?;
         let violations = schedule
-            .get("violations")
-            .and_then(Json::as_arr)
-            .ok_or("schedule: missing 'violations' array")?
+            .req_arr("violations")?
             .iter()
             .map(RaceViolation::from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -348,16 +336,15 @@ impl AnalyzeReport {
         }
         // v3: the key must be present so its absence is a schema error,
         // but null is a valid value (model checker not requested).
-        let model_check = match doc.get("model_check") {
-            Some(Json::Null) => None,
-            Some(v) => Some(ModelCheckSection::from_json(v)?),
-            None => return Err("missing 'model_check' (object or null)".into()),
+        let model_check = match doc.req("model_check")? {
+            Json::Null => None,
+            v => Some(ModelCheckSection::from_json(v)?),
         };
         Ok(Self {
             schema_version,
-            files_scanned: req_u64(lint, "files_scanned")? as usize,
+            files_scanned: lint.req_u64("files_scanned")? as usize,
             findings,
-            configs_checked: req_u64(schedule, "configs_checked")? as usize,
+            configs_checked: schedule.req_u64("configs_checked")? as usize,
             schedule_configs,
             violations,
             model_check,
@@ -381,19 +368,17 @@ pub struct BaselineEntry {
 /// Parses `ANALYZE_baseline.json` text.
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
     let doc = Json::parse(text).map_err(|e| format!("baseline parse error: {e}"))?;
-    let version = req_u64(&doc, "schema_version")?;
+    let version = doc.req_u64("schema_version")?;
     if version != ANALYZE_SCHEMA_VERSION {
         return Err(format!("baseline schema_version {version} unsupported"));
     }
-    doc.get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("baseline: missing 'entries' array")?
+    doc.req_arr("entries")?
         .iter()
         .map(|e| {
             Ok(BaselineEntry {
-                rule: req_str(e, "rule")?,
-                file: req_str(e, "file")?,
-                allowed: req_u64(e, "allowed")? as usize,
+                rule: e.req_str("rule")?,
+                file: e.req_str("file")?,
+                allowed: e.req_u64("allowed")? as usize,
             })
         })
         .collect()
@@ -516,26 +501,6 @@ pub fn baseline_to_json_string(entries: &[BaselineEntry]) -> String {
         ),
     ])
     .to_string()
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string '{key}'"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer '{key}'"))
-}
-
-fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool '{key}'")),
-    }
 }
 
 #[cfg(test)]

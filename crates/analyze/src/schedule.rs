@@ -227,48 +227,32 @@ impl RaceViolation {
 
     pub(crate) fn from_json(v: &Json) -> Result<Self, String> {
         fn num(v: &Json, key: &str) -> Result<usize, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("violation: missing integer '{key}'"))
+            v.req_u64(key).map(|n| n as usize)
         }
         fn access(v: &Json) -> Result<AccessDesc, String> {
-            let rows = v
-                .get("rows")
-                .and_then(Json::as_arr)
-                .filter(|a| a.len() == 2)
-                .ok_or("access: missing 'rows' pair")?;
-            let write = match v.get("write") {
-                Some(Json::Bool(b)) => *b,
-                _ => return Err("access: missing bool 'write'".into()),
-            };
+            let (lo, hi) = match v.req_arr("rows")? {
+                [lo, hi] => lo.as_u64().zip(hi.as_u64()),
+                _ => None,
+            }
+            .ok_or("field 'rows' must be a pair of integers")?;
             Ok(AccessDesc {
                 tid: num(v, "tid")?,
                 level: num(v, "level")?,
                 plane: num(v, "plane")?,
-                rows: (
-                    rows[0].as_u64().ok_or("rows[0] not integer")? as usize,
-                    rows[1].as_u64().ok_or("rows[1] not integer")? as usize,
-                ),
-                write,
+                rows: (lo as usize, hi as usize),
+                write: v.req_bool("write")?,
             })
         }
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(ViolationKind::from_str)
-            .ok_or("violation: bad 'kind'")?;
-        let cfg = v.get("config").ok_or("violation: missing 'config'")?;
+        let kind_s = v.req_str("kind")?;
+        let kind = ViolationKind::from_str(&kind_s)
+            .ok_or_else(|| format!("unknown violation kind '{kind_s}'"))?;
+        let cfg = v.req("config")?;
         let b = match v.get("b") {
             Some(Json::Null) | None => None,
             Some(other) => Some(access(other)?),
         };
         Ok(Self {
-            schedule: v
-                .get("schedule")
-                .and_then(Json::as_str)
-                .ok_or("violation: missing 'schedule'")?
-                .to_string(),
+            schedule: v.req_str("schedule")?,
             kind,
             config: ScheduleConfig {
                 r: num(cfg, "r")?,
@@ -280,13 +264,9 @@ impl RaceViolation {
             step: num(v, "step")?,
             ring: num(v, "ring")?,
             slot: num(v, "slot")?,
-            a: access(v.get("a").ok_or("violation: missing 'a'")?)?,
+            a: access(v.req("a")?)?,
             b,
-            detail: v
-                .get("detail")
-                .and_then(Json::as_str)
-                .ok_or("violation: missing 'detail'")?
-                .to_string(),
+            detail: v.req_str("detail")?,
         })
     }
 }

@@ -1,130 +1,66 @@
 //! Regenerates the **§VII-D comparison**: the paper's headline speedups
 //! of 3.5-D blocking over the best unblocked implementations, next to the
-//! model's predictions and a host measurement of the same ratio.
+//! model's predictions and a host measurement of the same ratio — and the
+//! **§III-B barrier claim**: a custom spin barrier against the futex-based
+//! `std::sync::Barrier` (the paper's "pthreads barrier"), as nanoseconds
+//! per episode on this host.
 //!
 //! ```text
 //! cargo run --release -p threefive-bench --bin compare
 //! ```
 //!
-//! With `--baseline` and `--current` it instead runs the **regression
-//! gate**: the two BENCH reports are diffed entry-by-entry and the
-//! process exits nonzero when any baseline entry lost more throughput
-//! than the threshold allows (or disappeared entirely):
-//!
-//! ```text
-//! compare --baseline results/BENCH_stencil_baseline.json \
-//!         --current BENCH_stencil.json [--min-ratio 0.5] [--cross-host]
-//! ```
-//!
-//! The gate refuses to compare reports from different host fingerprints
-//! unless `--cross-host` is given (ratios across machines are noise).
+//! Regressions are judged by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 
 use std::process::ExitCode;
 
-use threefive_bench::gate::{gate_reports, GateThresholds};
-use threefive_bench::report::BenchReport;
-use threefive_bench::{full_run, host_threads, measure_lbm, measure_seven_point, BenchConfig};
+use threefive_bench::{
+    full_run, host_threads, measure_lbm, measure_seven_point, median, run_reps, BenchConfig,
+};
 use threefive_grid::Dim3;
 use threefive_machine::figures::comparisons;
-use threefive_sync::ThreadTeam;
+use threefive_sync::{SpinBarrier, ThreadTeam};
 
-fn load_report(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    BenchReport::validate_str(&text).map_err(|e| format!("{path}: {e}"))
+/// Median nanoseconds per barrier episode when every member of `team`
+/// calls `wait` back to back (the executor barriers once per streamed
+/// plane, so this is the per-plane synchronization cost).
+fn barrier_episode_ns(team: &ThreadTeam, wait: impl Fn() + Sync) -> f64 {
+    const EPISODES: usize = 1000;
+    let cfg = BenchConfig { warmup: 1, reps: 5 };
+    let (secs, _) = run_reps(&cfg, |_| {
+        team.run(|_| (0..EPISODES).for_each(|_| wait()));
+    });
+    median(&secs) / EPISODES as f64 * 1e9
 }
 
-/// Parses gate-mode flags; `None` means legacy §VII-D mode.
-fn parse_gate_args(args: &[String]) -> Result<Option<(String, String, GateThresholds)>, String> {
-    if args.is_empty() {
-        return Ok(None);
-    }
-    let mut baseline = None;
-    let mut current = None;
-    let mut t = GateThresholds::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--current" => current = Some(value("--current")?),
-            "--min-ratio" => {
-                t.min_mups_ratio = value("--min-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--min-ratio: {e}"))?;
-            }
-            "--max-barrier-growth" => {
-                t.max_barrier_share_increase = value("--max-barrier-growth")?
-                    .parse()
-                    .map_err(|e| format!("--max-barrier-growth: {e}"))?;
-            }
-            "--cross-host" => t.require_same_host = false,
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    match (baseline, current) {
-        (Some(b), Some(c)) => Ok(Some((b, c, t))),
-        _ => Err("gate mode needs both --baseline and --current".into()),
-    }
-}
-
-fn run_gate(baseline_path: &str, current_path: &str, t: &GateThresholds) -> ExitCode {
-    let pair = load_report(baseline_path).and_then(|b| Ok((b, load_report(current_path)?)));
-    let (baseline, current) = match pair {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match gate_reports(&baseline, &current, t) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn print_barrier_table() {
+    // A one-member barrier never waits; measure at least a pair.
+    let team = ThreadTeam::new(host_threads().max(2));
+    let spin = SpinBarrier::new(team.threads());
+    let futex = std::sync::Barrier::new(team.threads());
+    let spin_ns = barrier_episode_ns(&team, || {
+        spin.wait();
+    });
+    let futex_ns = barrier_episode_ns(&team, || {
+        futex.wait();
+    });
     println!(
-        "== regression gate: {} vs {} (min ratio {:.2}, max barrier growth {:.2}) ==",
-        current_path, baseline_path, t.min_mups_ratio, t.max_barrier_share_increase
+        "\n== §III-B: barrier episode, {} threads ==\n",
+        team.threads()
     );
-    for f in &outcome.findings {
-        let ratio = f.ratio.map_or("    -".into(), |r| format!("{r:5.2}"));
-        let status = match &f.failure {
-            Some(why) => format!("FAIL  {why}"),
-            None => "ok".into(),
-        };
-        println!("{ratio}x  {:60} {status}", f.key);
-    }
-    let failures = outcome.failures().count();
-    if failures > 0 {
-        eprintln!(
-            "gate FAILED: {failures} of {} entries",
-            outcome.findings.len()
-        );
-        ExitCode::FAILURE
-    } else {
-        println!("gate passed: {} entries", outcome.findings.len());
-        ExitCode::SUCCESS
-    }
+    println!("{:28} {:>10.0} ns", "spin (sync::SpinBarrier)", spin_ns);
+    println!("{:28} {:>10.0} ns", "futex (std::sync::Barrier)", futex_ns);
+    println!(
+        "spin is {:.1}x faster (paper: 50x over the pthreads barrier)",
+        futex_ns / spin_ns
+    );
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_gate_args(&args) {
-        Ok(Some((baseline, current, t))) => return run_gate(&baseline, &current, &t),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: compare [--baseline FILE --current FILE \
-                 [--min-ratio R] [--max-barrier-growth G] [--cross-host]]"
-            );
-            return ExitCode::FAILURE;
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument '{arg}'");
+        eprintln!("usage: compare");
+        return ExitCode::FAILURE;
     }
     println!("\n== §VII-D: 3.5-D speedups — paper vs model vs host ==\n");
     println!(
@@ -219,5 +155,6 @@ fn main() -> ExitCode {
          (grids: {n}^3 stencil, {nl}^3 LBM; THREEFIVE_FULL=1 for paper sizes). \
          The model column should track the paper within ~25%."
     );
+    print_barrier_table();
     ExitCode::SUCCESS
 }

@@ -149,19 +149,9 @@ impl Telemetry {
 
     /// Reads a block back, rejecting missing fields by name.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let machine = v
-            .get("machine")
-            .and_then(Json::as_str)
-            .ok_or("telemetry: missing string field 'machine'")?
-            .to_string();
-        let counters = CounterRegistry::from_json(
-            v.get("counters")
-                .ok_or("telemetry: missing field 'counters'")?,
-        )?;
-        let wait_hist = match v
-            .get("barrier_wait_hist")
-            .ok_or("telemetry: missing field 'barrier_wait_hist'")?
-        {
+        let machine = v.req_str("machine")?;
+        let counters = CounterRegistry::from_json(v.req("counters")?)?;
+        let wait_hist = match v.req("barrier_wait_hist")? {
             Json::Null => None,
             Json::Arr(items) => {
                 if items.len() != WAIT_HIST_BUCKETS {

@@ -89,12 +89,65 @@ impl Json {
         }
     }
 
+    /// Required object field of any type; the error names the field.
+    /// The typed `req_*` accessors below are the one validator vocabulary
+    /// every schema reader (`from_json`) in the workspace uses.
+    pub fn req(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn req_as<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        conv(self.req(key)?).ok_or_else(|| format!("field '{key}' must be {what}"))
+    }
+
+    /// Required string field.
+    pub fn req_str(&self, key: &str) -> Result<String, String> {
+        self.req_as(key, "a string", |v| v.as_str().map(str::to_string))
+    }
+
+    /// Required non-negative integer field.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req_as(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// Required number field.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.req_as(key, "a number", Json::as_f64)
+    }
+
+    /// Required boolean field.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.req_as(key, "a boolean", Json::as_bool)
+    }
+
+    /// Required array field.
+    pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.req_as(key, "an array", Json::as_arr)
+    }
+
+    /// Required-but-nullable number: the key must be present, while
+    /// `null` — how the writer encodes NaN/absent — reads back as `None`.
+    pub fn req_nullable_f64(&self, key: &str) -> Result<Option<f64>, String> {
+        self.req_as(key, "a number or null", |v| match v {
+            Json::Null => Some(None),
+            v => v.as_f64().map(Some),
+        })
+    }
+
     /// Parses a JSON document (the subset this module writes, which is
-    /// all of standard JSON except non-finite numbers).
+    /// all of standard JSON except non-finite numbers). Containers may
+    /// nest at most [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -190,9 +243,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser is
+/// recursive and its input arrives from the network (`serve` frames of up
+/// to 1 MiB), so unbounded nesting is a stack overflow that aborts the
+/// process; the deepest document the tree writes nests fewer than 10.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -237,12 +297,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -255,9 +328,12 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number '{text}'")))
+        match text.parse::<f64>() {
+            // `1e999` parses to ∞, which the writer would emit as `null`.
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(self.err(format!("number '{text}' overflows f64"))),
+            Err(_) => Err(self.err(format!("invalid number '{text}'"))),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -406,6 +482,61 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "{} extra"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error_naming_the_offset() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"k\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        // Unclosed and far under serve's 1 MiB frame cap: recursion this
+        // deep used to overflow the reader thread's stack.
+        for open in ["[", "{\"k\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH * open.len(), "{err}");
+        }
+        // Siblings do not accumulate depth.
+        assert!(Json::parse(&format!("[{}]", "[[]],".repeat(100) + "[]")).is_ok());
+    }
+
+    #[test]
+    fn numbers_that_overflow_f64_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1, 2e400]"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.message.contains("overflows"), "{bad}: {err}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn required_accessors_name_the_field_and_the_expected_type() {
+        let v =
+            Json::parse(r#"{"s": "x", "n": 3, "f": 1.5, "b": true, "a": [1], "z": null}"#).unwrap();
+        assert_eq!(v.req_str("s").unwrap(), "x");
+        assert_eq!(v.req_u64("n").unwrap(), 3);
+        assert_eq!(v.req_f64("f").unwrap(), 1.5);
+        assert!(v.req_bool("b").unwrap());
+        assert_eq!(v.req_arr("a").unwrap().len(), 1);
+        assert_eq!(v.req_nullable_f64("z").unwrap(), None);
+        assert_eq!(v.req_nullable_f64("f").unwrap(), Some(1.5));
+        assert_eq!(v.req_u64("gone").unwrap_err(), "missing field 'gone'");
+        assert_eq!(
+            v.req_nullable_f64("gone").unwrap_err(),
+            "missing field 'gone'"
+        );
+        assert_eq!(
+            v.req_u64("f").unwrap_err(),
+            "field 'f' must be a non-negative integer"
+        );
+        assert_eq!(v.req_str("n").unwrap_err(), "field 'n' must be a string");
+        assert_eq!(
+            v.req_nullable_f64("s").unwrap_err(),
+            "field 's' must be a number or null"
+        );
     }
 
     #[test]

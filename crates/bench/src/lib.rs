@@ -1,5 +1,5 @@
-//! Shared measurement helpers for the figure binaries, the `threefive
-//! bench` subcommand and the benches.
+//! Shared measurement helpers for the figure binaries and the `threefive
+//! bench` subcommand.
 //!
 //! Every figure binary prints two kinds of rows side by side:
 //!
@@ -47,7 +47,6 @@ use threefive_lbm::{lbm_naive_sweep, try_lbm35d_sweep, LbmBlocking, LbmError, Lb
 use threefive_sync::{Instrument, Observer, ThreadTeam, WaitHistogram};
 
 pub mod counters;
-pub mod gate;
 pub mod json;
 pub mod perfetto;
 pub mod probe;

@@ -114,41 +114,27 @@ pub struct TraceFileSummary {
 /// `(pid, tid)` track. Returns counts on success and a named-field
 /// error on the first violation.
 pub fn validate_chrome_trace(doc: &Json) -> Result<TraceFileSummary, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'traceEvents' array")?;
+    let events = doc.req_arr("traceEvents")?;
     let mut summary = TraceFileSummary::default();
     let mut last_ts: Vec<(u64, u64, f64)> = Vec::new();
     for (i, e) in events.iter().enumerate() {
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing or non-string field 'name'"))?;
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i} ('{name}'): missing or non-string field 'ph'"))?;
-        let ts = e
-            .get("ts")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("event {i} ('{name}'): missing or non-numeric field 'ts'"))?;
-        let pid = e
-            .get("pid")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("event {i} ('{name}'): missing or non-integer field 'pid'"))?;
-        let tid = e
-            .get("tid")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("event {i} ('{name}'): missing or non-integer field 'tid'"))?;
+        let required = || -> Result<_, String> {
+            Ok((
+                e.req_str("name")?,
+                e.req_str("ph")?,
+                e.req_f64("ts")?,
+                e.req_u64("pid")?,
+                e.req_u64("tid")?,
+            ))
+        };
+        let (name, ph, ts, pid, tid) = required().map_err(|err| format!("event {i}: {err}"))?;
         if ph == "M" {
             continue; // metadata records carry no timeline position
         }
-        match ph {
+        match ph.as_str() {
             "X" => {
-                e.get("dur").and_then(Json::as_f64).ok_or_else(|| {
-                    format!("event {i} ('{name}'): span missing numeric field 'dur'")
-                })?;
+                e.req_f64("dur")
+                    .map_err(|err| format!("event {i} ('{name}'): span {err}"))?;
                 summary.spans += 1;
             }
             "i" => summary.instants += 1,

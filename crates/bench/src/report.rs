@@ -17,8 +17,8 @@
 //!
 //! **Schema v3** adds a required `host.fingerprint` — a short stable
 //! identifier of the measuring machine (os/arch/cpu-model/thread-count
-//! hash). The `compare` regression gate uses it to refuse cross-host
-//! comparisons, and `TUNE.json` keys tuned plans by it.
+//! hash). `TUNE.json` keys tuned plans by it, so a plan tuned on one
+//! machine is never applied on another.
 //!
 //! **Schema v4** adds a required per-entry `schedule` — the
 //! temporal-blocking schedule the engine-backed variants ran under
@@ -46,7 +46,7 @@ pub struct HostInfo {
     ///
     /// Stored rather than recomputed on load: a report's fingerprint
     /// describes the machine that *produced* it, which is exactly what
-    /// the cross-host gate and the tuning database need to compare.
+    /// the tuning database needs to compare.
     pub fingerprint: String,
 }
 
@@ -109,11 +109,11 @@ impl HostInfo {
     /// Deserializes and schema-checks (shared with the service report).
     pub fn from_json(v: &Json) -> Result<Self, String> {
         Ok(Self {
-            os: req_str(v, "os")?,
-            arch: req_str(v, "arch")?,
-            available_threads: req_u64(v, "available_threads")? as usize,
-            cpu: req_str(v, "cpu")?,
-            fingerprint: req_str(v, "fingerprint")?,
+            os: v.req_str("os")?,
+            arch: v.req_str("arch")?,
+            available_threads: v.req_u64("available_threads")? as usize,
+            cpu: v.req_str("cpu")?,
+            fingerprint: v.req_str("fingerprint")?,
         })
     }
 }
@@ -214,10 +214,7 @@ impl BenchEntry {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        let grid_arr = v
-            .get("grid")
-            .and_then(Json::as_arr)
-            .ok_or("entry missing 'grid' array")?;
+        let grid_arr = v.req_arr("grid")?;
         if grid_arr.len() != 3 {
             return Err(format!(
                 "'grid' must have 3 extents, got {}",
@@ -229,29 +226,24 @@ impl BenchEntry {
             *slot = g.as_u64().ok_or("'grid' extent must be an integer")? as usize;
         }
         Ok(Self {
-            variant: req_str(v, "variant")?,
-            schedule: req_str(v, "schedule")?,
-            precision: req_str(v, "precision")?,
+            variant: v.req_str("variant")?,
+            schedule: v.req_str("schedule")?,
+            precision: v.req_str("precision")?,
             grid,
-            steps: req_u64(v, "steps")? as usize,
-            threads: req_u64(v, "threads")? as usize,
-            warmup: req_u64(v, "warmup")? as usize,
-            reps: req_u64(v, "reps")? as usize,
-            median_secs: req_f64(v, "median_secs")?,
-            min_secs: req_f64(v, "min_secs")?,
-            max_secs: req_f64(v, "max_secs")?,
-            mups: req_f64(v, "mups")?,
-            interior_updates: req_u64(v, "interior_updates")?,
-            modeled_dram_bytes: req_u64(v, "modeled_dram_bytes")?,
-            kappa: req_nullable_f64(v, "kappa")?,
-            barrier_share: match req_nullable_f64(v, "barrier_share")? {
-                s if s.is_nan() => None,
-                s => Some(s),
-            },
-            telemetry: match v
-                .get("telemetry")
-                .ok_or("entry missing field 'telemetry' (use null when absent)")?
-            {
+            steps: v.req_u64("steps")? as usize,
+            threads: v.req_u64("threads")? as usize,
+            warmup: v.req_u64("warmup")? as usize,
+            reps: v.req_u64("reps")? as usize,
+            median_secs: v.req_f64("median_secs")?,
+            min_secs: v.req_f64("min_secs")?,
+            max_secs: v.req_f64("max_secs")?,
+            mups: v.req_f64("mups")?,
+            interior_updates: v.req_u64("interior_updates")?,
+            modeled_dram_bytes: v.req_u64("modeled_dram_bytes")?,
+            // `null` is how the writer encodes NaN.
+            kappa: v.req_nullable_f64("kappa")?.unwrap_or(f64::NAN),
+            barrier_share: v.req_nullable_f64("barrier_share")?,
+            telemetry: match v.req("telemetry")? {
                 Json::Null => None,
                 t => Some(Telemetry::from_json(t)?),
             },
@@ -306,7 +298,7 @@ impl BenchReport {
 
     /// Deserializes and schema-checks a JSON tree.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let version = req_u64(v, "schema_version")?;
+        let version = v.req_u64("schema_version")?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {version} unsupported (expected {BENCH_SCHEMA_VERSION}; \
@@ -315,15 +307,13 @@ impl BenchReport {
                  with `threefive bench`)"
             ));
         }
-        let kind = req_str(v, "kind")?;
+        let kind = v.req_str("kind")?;
         if kind != "stencil" && kind != "lbm" {
             return Err(format!("unknown report kind '{kind}'"));
         }
-        let host = HostInfo::from_json(v.get("host").ok_or("missing 'host' object")?)?;
+        let host = HostInfo::from_json(v.req("host")?)?;
         let entries = v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'entries' array")?
+            .req_arr("entries")?
             .iter()
             .map(BenchEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -339,40 +329,6 @@ impl BenchReport {
     pub fn validate_str(text: &str) -> Result<Self, String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&v)
-    }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-/// Required-but-nullable number: the key must be present (a missing key
-/// is a schema error naming the field), while `null` — how the writer
-/// encodes NaN/absent — reads back as NaN.
-fn req_nullable_f64(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        None => Err(format!(
-            "entry missing field '{key}' (use null when absent)"
-        )),
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(x) => x
-            .as_f64()
-            .ok_or_else(|| format!("field '{key}' must be a number or null")),
     }
 }
 

@@ -176,27 +176,27 @@ impl ServiceReport {
     /// Deserializes and schema-checks a JSON tree, enforcing the
     /// accounting identities (no silently dropped jobs).
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let version = req_u64(v, "schema_version")?;
+        let version = v.req_u64("schema_version")?;
         if version != SERVICE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema_version {version} (this build reads v{SERVICE_SCHEMA_VERSION})"
             ));
         }
-        let kind = req_str(v, "kind")?;
+        let kind = v.req_str("kind")?;
         if kind != "service" {
             return Err(format!("'kind' must be \"service\", got \"{kind}\""));
         }
-        let host = HostInfo::from_json(v.get("host").ok_or("missing field 'host'")?)?;
-        let tv = v.get("totals").ok_or("missing field 'totals'")?;
+        let host = HostInfo::from_json(v.req("host")?)?;
+        let tv = v.req("totals")?;
         let totals = ServiceTotals {
-            offered: req_u64(tv, "offered")?,
-            accepted: req_u64(tv, "accepted")?,
-            completed: req_u64(tv, "completed")?,
-            rejected: req_u64(tv, "rejected")?,
-            failed: req_u64(tv, "failed")?,
-            timed_out: req_u64(tv, "timed_out")?,
-            verified: req_u64(tv, "verified")?,
-            mismatched: req_u64(tv, "mismatched")?,
+            offered: tv.req_u64("offered")?,
+            accepted: tv.req_u64("accepted")?,
+            completed: tv.req_u64("completed")?,
+            rejected: tv.req_u64("rejected")?,
+            failed: tv.req_u64("failed")?,
+            timed_out: tv.req_u64("timed_out")?,
+            verified: tv.req_u64("verified")?,
+            mismatched: tv.req_u64("mismatched")?,
         };
         if totals.offered != totals.accepted + totals.rejected {
             return Err(format!(
@@ -212,27 +212,24 @@ impl ServiceReport {
                 totals.accepted, totals.completed, totals.failed, totals.timed_out
             ));
         }
-        let lv = v.get("latency_ms").ok_or("missing field 'latency_ms'")?;
+        let lv = v.req("latency_ms")?;
         let latency_ms = LatencyMs {
-            p50: req_f64(lv, "p50")?,
-            p90: req_f64(lv, "p90")?,
-            p99: req_f64(lv, "p99")?,
-            max: req_f64(lv, "max")?,
+            p50: lv.req_f64("p50")?,
+            p90: lv.req_f64("p90")?,
+            p99: lv.req_f64("p99")?,
+            max: lv.req_f64("max")?,
         };
         Ok(Self {
             schema_version: version,
             host,
-            tenants: req_u64(v, "tenants")? as usize,
-            chaos: match v.get("chaos") {
-                Some(Json::Bool(b)) => *b,
-                _ => return Err("missing or non-boolean field 'chaos'".into()),
-            },
+            tenants: v.req_u64("tenants")? as usize,
+            chaos: v.req_bool("chaos")?,
             totals,
             latency_ms,
-            wall_secs: req_f64(v, "wall_secs")?,
-            completed_per_sec: req_f64(v, "completed_per_sec")?,
-            offered_per_sec: req_f64(v, "offered_per_sec")?,
-            rejection_rate: req_f64(v, "rejection_rate")?,
+            wall_secs: v.req_f64("wall_secs")?,
+            completed_per_sec: v.req_f64("completed_per_sec")?,
+            offered_per_sec: v.req_f64("offered_per_sec")?,
+            rejection_rate: v.req_f64("rejection_rate")?,
         })
     }
 
@@ -242,25 +239,6 @@ impl ServiceReport {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&doc)
     }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-number field '{key}'"))
 }
 
 #[cfg(test)]

@@ -120,88 +120,47 @@ impl Trace {
     /// Parses and schema-validates a trace document.
     pub fn parse(text: &str) -> Result<Trace, String> {
         let json = Json::parse(text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
+        let version = json.req_u64("schema_version")?;
         if version != TRACE_SCHEMA_VERSION {
             return Err(format!(
                 "trace schema_version {version} != supported {TRACE_SCHEMA_VERSION}"
             ));
         }
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing kind")?;
+        let kind = json.req_str("kind")?;
         if kind != TRACE_KIND {
             return Err(format!("kind `{kind}` is not `{TRACE_KIND}`"));
         }
-        let model = json
-            .get("model")
-            .and_then(Json::as_str)
-            .ok_or("missing model")?
-            .to_string();
+        let model = json.req_str("model")?;
         let mutation = match json.get("mutation") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("mutation must be a string or null")?
-                    .to_string(),
-            ),
+            Some(_) => Some(json.req_str("mutation")?),
         };
-        let time_mode = match json
-            .get("time_mode")
-            .and_then(Json::as_str)
-            .ok_or("missing time_mode")?
-        {
+        let time_mode = match json.req_str("time_mode")?.as_str() {
             "never" => TimeMode::Never,
             "nondet" => TimeMode::Nondet,
             other => return Err(format!("unknown time_mode `{other}`")),
         };
-        let raw = json
-            .get("decisions")
-            .and_then(Json::as_arr)
-            .ok_or("missing decisions array")?;
+        let raw = json.req_arr("decisions")?;
         let mut decisions = Vec::with_capacity(raw.len());
         let mut op_desc = Vec::with_capacity(raw.len());
         for (i, entry) in raw.iter().enumerate() {
-            let tid = entry
-                .get("tid")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("decision {i}: missing tid"))?
-                as usize;
-            let variant = entry
-                .get("variant")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("decision {i}: missing variant"))?
-                as u32;
-            let timeout = entry
-                .get("timeout")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("decision {i}: missing timeout"))?;
-            let op = entry
-                .get("op")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("decision {i}: missing op"))?
-                .to_string();
-            decisions.push(Decision {
-                tid,
-                variant,
-                timeout,
-            });
+            let decision = || -> Result<(Decision, String), String> {
+                Ok((
+                    Decision {
+                        tid: entry.req_u64("tid")? as usize,
+                        variant: entry.req_u64("variant")? as u32,
+                        timeout: entry.req_bool("timeout")?,
+                    },
+                    entry.req_str("op")?,
+                ))
+            };
+            let (d, op) = decision().map_err(|e| format!("decision {i}: {e}"))?;
+            decisions.push(d);
             op_desc.push(op);
         }
-        let failure = json.get("failure").ok_or("missing failure")?;
-        let failure_kind = failure
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("failure: missing kind")?
-            .to_string();
-        let failure_message = failure
-            .get("message")
-            .and_then(Json::as_str)
-            .ok_or("failure: missing message")?
-            .to_string();
+        let failure = json.req("failure")?;
+        let failure_kind = failure.req_str("kind")?;
+        let failure_message = failure.req_str("message")?;
         Ok(Trace {
             model,
             mutation,

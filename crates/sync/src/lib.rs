@@ -8,9 +8,6 @@
 //! * [`SpinBarrier`] — a centralized sense-reversing spin barrier (one
 //!   atomic counter + one generation word, local spinning on the
 //!   generation);
-//! * [`TournamentBarrier`] — a fan-in-2 tree barrier in the style of
-//!   Mellor-Crummey & Scott \[33\], whose per-round contention is O(1)
-//!   per cache line;
 //! * [`ThreadTeam`] — a pool of persistent workers that repeatedly execute
 //!   borrowed closures (`run(|tid| …)`), so the executor pays thread spawn
 //!   cost once per run, not once per time step;
@@ -44,7 +41,6 @@ mod pool;
 mod shared;
 pub mod shim;
 mod team;
-mod tournament;
 mod trace;
 
 pub use barrier::SpinBarrier;
@@ -58,7 +54,6 @@ pub use shim::{
     AtomicBoolShim, AtomicUsizeShim, CondvarShim, GuardOf, MutexShim, StdFamily, SyncFamily,
 };
 pub use team::ThreadTeam;
-pub use tournament::{TournamentBarrier, TournamentWaiter};
 pub use trace::{
     ThreadTrace, TraceEvent, TraceEventKind, TraceSnapshot, Tracer, TRACE_DEFAULT_CAPACITY,
 };

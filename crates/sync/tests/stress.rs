@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use threefive_sync::{SharedSlice, SpinBarrier, SyncError, ThreadTeam, TournamentBarrier};
+use threefive_sync::{SharedSlice, SpinBarrier, SyncError, ThreadTeam};
 
 #[test]
 fn spin_barrier_many_threads_many_episodes() {
@@ -30,36 +30,6 @@ fn spin_barrier_many_threads_many_episodes() {
         }
     });
     assert_eq!(counter.load(Ordering::Relaxed), T * EPISODES);
-}
-
-#[test]
-fn mixed_barrier_kinds_interoperate_in_one_team() {
-    // The executor uses SpinBarrier inside ThreadTeam::run; the tournament
-    // barrier must compose the same way.
-    const T: usize = 4;
-    let team = ThreadTeam::new(T);
-    let spin = SpinBarrier::new(T);
-    let tournament = TournamentBarrier::new(T);
-    let log = Vec::from_iter((0..T * 3).map(|_| AtomicUsize::new(0)));
-    team.run(|tid| {
-        let mut w = tournament.waiter(tid);
-        log[tid].store(1, Ordering::Relaxed);
-        spin.wait();
-        assert!(log.iter().take(T).all(|c| c.load(Ordering::Relaxed) == 1));
-        log[T + tid].store(2, Ordering::Relaxed);
-        w.wait();
-        assert!(log
-            .iter()
-            .skip(T)
-            .take(T)
-            .all(|c| c.load(Ordering::Relaxed) == 2));
-        log[2 * T + tid].store(3, Ordering::Relaxed);
-        spin.wait();
-        assert!(log
-            .iter()
-            .skip(2 * T)
-            .all(|c| c.load(Ordering::Relaxed) == 3));
-    });
 }
 
 #[test]

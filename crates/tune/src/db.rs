@@ -29,10 +29,9 @@ use threefive_core::planner::PlanSource;
 
 /// Version stamped into every database; bump on breaking schema changes.
 ///
-/// v2 adds a per-entry `schedule` (the temporal-blocking schedule the
-/// winner was probed under). v1 databases still load — their entries
-/// default to `"lag35d"`, the only schedule that existed then — and are
-/// rewritten as v2 on the next save.
+/// v2 adds a required per-entry `schedule` (the temporal-blocking
+/// schedule the winner was probed under); v1 databases are rejected with
+/// regeneration guidance.
 pub const TUNE_SCHEMA_VERSION: u64 = 2;
 
 /// Stencil radius of both tunable kernels (7-point and D3Q19 LBM).
@@ -184,11 +183,8 @@ impl TuneEntry {
         ])
     }
 
-    fn from_json(v: &Json, version: u64) -> Result<Self, String> {
-        let grid_arr = v
-            .get("grid")
-            .and_then(Json::as_arr)
-            .ok_or("entry missing 'grid' array")?;
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let grid_arr = v.req_arr("grid")?;
         if grid_arr.len() != 3 {
             return Err(format!(
                 "'grid' must have 3 extents, got {}",
@@ -199,45 +195,29 @@ impl TuneEntry {
         for (slot, g) in grid.iter_mut().zip(grid_arr) {
             *slot = g.as_u64().ok_or("'grid' extent must be an integer")? as usize;
         }
-        let source_s = req_str(v, "source")?;
+        let source_s = v.req_str("source")?;
         let source = PlanSource::parse(&source_s)
             .ok_or_else(|| format!("unknown plan source '{source_s}'"))?;
-        // v1 predates the schedule axis: its entries were all produced by
-        // the 3.5-D lag schedule, so that is what absence means.
-        let schedule = match v.get("schedule") {
-            Some(s) => {
-                let s = s.as_str().ok_or("field 'schedule' must be a string")?;
-                ScheduleKind::parse(s).ok_or_else(|| format!("unknown schedule '{s}'"))?
-            }
-            None if version < 2 => ScheduleKind::Lag35d,
-            None => return Err("entry missing field 'schedule'".into()),
-        };
+        let schedule_s = v.req_str("schedule")?;
+        let schedule = ScheduleKind::parse(&schedule_s)
+            .ok_or_else(|| format!("unknown schedule '{schedule_s}'"))?;
         Ok(Self {
-            fingerprint: req_str(v, "fingerprint")?,
-            kernel: req_str(v, "kernel")?,
-            precision: req_str(v, "precision")?,
+            fingerprint: v.req_str("fingerprint")?,
+            kernel: v.req_str("kernel")?,
+            precision: v.req_str("precision")?,
             grid,
             plan: TunedPlan {
-                tile: req_u64(v, "tile")? as usize,
-                dim_t: req_u64(v, "dim_t")? as usize,
-                threads: req_u64(v, "threads")? as usize,
+                tile: v.req_u64("tile")? as usize,
+                dim_t: v.req_u64("dim_t")? as usize,
+                threads: v.req_u64("threads")? as usize,
                 schedule,
                 source,
             },
-            mups: req_f64(v, "mups")?,
-            scalar_mups: req_f64(v, "scalar_mups")?,
-            analytical_mups: match v
-                .get("analytical_mups")
-                .ok_or("entry missing field 'analytical_mups' (use null when absent)")?
-            {
-                Json::Null => None,
-                m => Some(
-                    m.as_f64()
-                        .ok_or("field 'analytical_mups' must be a number or null")?,
-                ),
-            },
-            probes: req_u64(v, "probes")?,
-            probe_steps: req_u64(v, "probe_steps")? as usize,
+            mups: v.req_f64("mups")?,
+            scalar_mups: v.req_f64("scalar_mups")?,
+            analytical_mups: v.req_nullable_f64("analytical_mups")?,
+            probes: v.req_u64("probes")?,
+            probe_steps: v.req_u64("probe_steps")? as usize,
         })
     }
 }
@@ -364,23 +344,19 @@ impl TuneDb {
         format!("{}\n", self.to_json())
     }
 
-    /// Deserializes and schema-checks a JSON tree. v1 databases are
-    /// migrated on load (entries default to the lag35d schedule) and
-    /// re-serialize as v{`TUNE_SCHEMA_VERSION`}.
+    /// Deserializes and schema-checks a JSON tree.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let version = req_u64(v, "schema_version")?;
-        if version == 0 || version > TUNE_SCHEMA_VERSION {
+        let version = v.req_u64("schema_version")?;
+        if version != TUNE_SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {version} unsupported (expected {TUNE_SCHEMA_VERSION}; \
-                 regenerate with `threefive tune`)"
+                 v1 databases predate the schedule axis — regenerate with `threefive tune`)"
             ));
         }
         let entries = v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'entries' array")?
+            .req_arr("entries")?
             .iter()
-            .map(|e| TuneEntry::from_json(e, version))
+            .map(TuneEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { entries })
     }
@@ -411,25 +387,6 @@ impl TuneDb {
         }
         std::fs::write(path, self.to_json_string()).map_err(|e| format!("{}: {e}", path.display()))
     }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
 }
 
 #[cfg(test)]
@@ -563,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_databases_migrate_to_lag35d_and_resave_as_v2() {
+    fn v1_databases_are_rejected_with_guidance() {
         // A pre-schedule (v1) database: no "schedule" key anywhere.
         let v1 = r#"{"schema_version": 1, "entries": [{
             "fingerprint": "linux-x86_64-4t-deadbeef",
@@ -571,13 +528,10 @@ mod tests {
             "tile": 32, "dim_t": 2, "threads": 2, "source": "tuned",
             "mups": 120.0, "scalar_mups": 100.0, "analytical_mups": null,
             "probes": 12, "probe_steps": 2}]}"#;
-        let db = TuneDb::validate_str(v1).expect("v1 loads via migration");
-        assert_eq!(db.entries[0].plan.schedule, ScheduleKind::Lag35d);
-        assert!(db.revalidate().is_empty());
-        let text = db.to_json_string();
-        assert!(text.contains("\"schema_version\": 2"), "{text}");
-        assert!(text.contains("\"schedule\": \"lag35d\""), "{text}");
-        // But a v2 entry without a schedule is malformed, not defaulted.
+        let err = TuneDb::validate_str(v1).unwrap_err();
+        assert!(err.contains("schema_version 1"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
+        // A v2 entry without a schedule is malformed, not defaulted.
         let v2_missing = v1.replace("\"schema_version\": 1", "\"schema_version\": 2");
         let err = TuneDb::validate_str(&v2_missing).unwrap_err();
         assert!(err.contains("schedule"), "{err}");

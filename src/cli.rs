@@ -42,6 +42,9 @@ impl fmt::Display for CliError {
             CliError::InvalidValue { flag, value } => {
                 write!(f, "invalid value '{value}' for --{flag}")
             }
+            CliError::UnknownFlag { flag, expected } if expected.is_empty() => {
+                write!(f, "unknown flag --{flag} (this command takes no flags)")
+            }
             CliError::UnknownFlag { flag, expected } => {
                 write!(f, "unknown flag --{flag} (expected ")?;
                 for (i, e) in expected.iter().enumerate() {
@@ -110,7 +113,7 @@ pub fn getstr(opts: &HashMap<String, String>, key: &str, default: &str) -> Strin
 
 /// Rejects any parsed flag not in `known` with
 /// [`CliError::UnknownFlag`] naming both the flag and the accepted set.
-/// Subcommands with a closed flag set call this right after
+/// The binary calls this for every subcommand right after
 /// [`parse_opts`], so a misspelled option is an error instead of a
 /// silently applied default.
 pub fn ensure_known(

@@ -105,27 +105,20 @@ fn main() -> ExitCode {
     };
     let opts = cli::parse_opts(rest);
     let result = match cmd.as_str() {
-        "plan" => cmd_plan(&opts),
-        "run" => cmd_run(&opts),
-        "lbm" => cmd_lbm(&opts),
-        "bench" => cmd_bench(&opts),
-        "tune" => cmd_tune(&opts),
-        "trace" => cmd_trace(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "serve" => cmd_serve(&opts),
-        "loadgen" => cmd_loadgen(&opts),
-        "stat" => cmd_stat(&opts),
-        "gpu" => cmd_gpu(&opts),
-        "info" => cmd_info(),
         "help" | "--help" | "-h" => {
             usage();
             return ExitCode::SUCCESS;
         }
-        other => {
-            eprintln!("unknown command: {other}\n");
-            usage();
-            return ExitCode::FAILURE;
-        }
+        name => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(_, flags, run)) => cli::ensure_known(&opts, flags)
+                .map_err(CmdError::from)
+                .and_then(|()| run(&opts)),
+            None => {
+                eprintln!("unknown command: {name}\n");
+                usage();
+                return ExitCode::FAILURE;
+            }
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -135,6 +128,40 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Every subcommand: its name, the closed set of `--flags` it accepts
+/// (anything else is an error naming the flag, checked before the command
+/// runs) and its entry point. Keep each row in step with the usage text
+/// below.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Opts) -> Result<(), CmdError>,
+);
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("plan", &["kernel", "machine", "precision", "cache"], cmd_plan),
+    ("run", &["variant", "n", "steps", "tile", "dimt", "threads", "schedule", "reps", "warmup",
+        "precision", "db"], cmd_run),
+    ("lbm", &["scenario", "variant", "n", "steps", "tile", "dimt", "threads", "schedule",
+        "timing", "trace", "out", "deadline"], cmd_lbm),
+    ("bench", &["n", "steps", "reps", "warmup", "tile", "dimt", "threads", "schedule",
+        "precision", "out", "db", "validate"], cmd_bench),
+    ("tune", &["workload", "n", "steps", "probes", "deadline-ms", "threads", "reps", "warmup",
+        "precision", "schedule", "db", "validate"], cmd_tune),
+    ("trace", &["nx", "ny", "nz", "n", "dimt", "steps", "tile", "threads", "workload",
+        "schedule", "out", "validate"], cmd_trace),
+    ("analyze", &["root", "deny-findings", "out", "baseline", "write-baseline", "model-check",
+        "mc-schedules", "mc-steps", "mc-preemptions", "replay", "validate"], cmd_analyze),
+    ("serve", &["addr", "metrics-addr", "teams", "threads", "queue", "dispatchers", "max-n",
+        "quiet", "tune-db"], cmd_serve),
+    ("loadgen", &["addr", "tenants", "jobs", "workload", "n", "steps", "tile", "dimt",
+        "deadline", "chaos", "verify", "verify-latency", "out", "validate"], cmd_loadgen),
+    ("stat", &["addr", "watch", "events", "level", "check", "jsonl"], cmd_stat),
+    ("gpu", &["n", "steps"], cmd_gpu),
+    ("info", &[], cmd_info),
+];
 
 fn usage() {
     eprintln!(
@@ -828,23 +855,6 @@ fn cmd_tune(opts: &Opts) -> Result<(), CmdError> {
         return Ok(());
     }
 
-    cli::ensure_known(
-        opts,
-        &[
-            "workload",
-            "n",
-            "steps",
-            "probes",
-            "deadline-ms",
-            "threads",
-            "reps",
-            "warmup",
-            "precision",
-            "schedule",
-            "db",
-            "validate",
-        ],
-    )?;
     let n: usize = cli::get(opts, "n", 64)?;
     let steps: usize = cli::get(opts, "steps", 2)?;
     let probes: usize = cli::get(opts, "probes", 24)?;
@@ -1481,22 +1491,6 @@ fn cmd_analyze(opts: &Opts) -> Result<(), CmdError> {
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), CmdError> {
-    // A long-running daemon must not silently ignore a typo'd flag, so
-    // the flag set is closed.
-    cli::ensure_known(
-        opts,
-        &[
-            "addr",
-            "metrics-addr",
-            "teams",
-            "threads",
-            "queue",
-            "dispatchers",
-            "max-n",
-            "quiet",
-            "tune-db",
-        ],
-    )?;
     let teams: usize = cli::get(opts, "teams", 2)?;
     let threads: usize = cli::get(opts, "threads", (host_threads() / teams.max(1)).max(1))?;
     let max_n: u64 = cli::get(opts, "max-n", 128)?;
@@ -1604,25 +1598,6 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), CmdError> {
         return Ok(());
     }
 
-    cli::ensure_known(
-        opts,
-        &[
-            "addr",
-            "tenants",
-            "jobs",
-            "workload",
-            "n",
-            "steps",
-            "tile",
-            "dimt",
-            "deadline",
-            "chaos",
-            "verify",
-            "verify-latency",
-            "out",
-            "validate",
-        ],
-    )?;
     let workload = cli::getstr(opts, "workload", "mix");
     let n: usize = cli::get(opts, "n", 16)?;
     let cfg = LoadgenConfig {
@@ -1695,10 +1670,6 @@ fn cmd_loadgen(opts: &Opts) -> Result<(), CmdError> {
 }
 
 fn cmd_stat(opts: &Opts) -> Result<(), CmdError> {
-    cli::ensure_known(
-        opts,
-        &["addr", "watch", "events", "level", "check", "jsonl"],
-    )?;
     let level_str = cli::getstr(opts, "level", "info");
     let stat = StatOptions {
         addr: cli::getstr(opts, "addr", "127.0.0.1:7435"),
@@ -1770,7 +1741,7 @@ fn cmd_gpu(opts: &Opts) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn cmd_info() -> Result<(), CmdError> {
+fn cmd_info(_opts: &Opts) -> Result<(), CmdError> {
     println!("machine models (Table I + §VIII):\n");
     for m in [core_i7(), gtx285(), fermi()] {
         println!(

@@ -58,15 +58,33 @@ fn unparseable_value_names_the_flag_and_exits_nonzero() {
 
 #[test]
 fn valueless_flag_does_not_swallow_the_next_option() {
-    // Before the parser fix, `--verbose` consumed `--n` and the run
-    // silently used the 128³ default.
-    let out = threefive(&["run", "--verbose", "--n", "24", "--steps", "1"]);
+    // Before the parser fix, a valueless flag consumed `--n` and the run
+    // silently used the default grid.
+    let out = threefive(&["lbm", "--timing", "--n", "24", "--steps", "2"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(
         stdout(&out).contains("24x24x24"),
         "the --n value must take effect: {}",
         stdout(&out)
     );
+}
+
+#[test]
+fn every_subcommand_rejects_an_unknown_flag_by_name() {
+    for cmd in [
+        "plan", "run", "lbm", "bench", "tune", "trace", "analyze", "serve", "loadgen", "stat",
+        "gpu", "info",
+    ] {
+        let out = threefive(&[cmd, "--bogus", "1"]);
+        assert!(!out.status.success(), "{cmd} --bogus must exit nonzero");
+        let err = stderr(&out);
+        assert!(err.contains("unknown flag --bogus"), "{cmd}: {err}");
+        assert!(
+            stdout(&out).is_empty(),
+            "{cmd} ran anyway: {}",
+            stdout(&out)
+        );
+    }
 }
 
 #[test]

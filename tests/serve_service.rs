@@ -11,11 +11,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
 use threefive::metrics::{validate_exposition, Level};
+use threefive::serve::protocol::{
+    decode_request, decode_response, encode_solve, read_frame, MAX_FRAME,
+};
 use threefive::serve::signal;
 use threefive::serve::{
     AdmissionLimits, ChaosCmd, JobSpec, LbmScenario, Rejected, Response, ServeMetrics, Server,
-    ServerConfig, ServiceClient, Workload,
+    ServerConfig, ServiceClient, WireError, Workload,
 };
 use threefive::serve_runner::{reference_checksum, SolverRunner};
 use threefive_bench::json::Json;
@@ -467,4 +471,103 @@ fn chaos_isolation_keeps_results_bit_identical_and_pool_heals() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean exit");
+}
+
+/// A frame of 200 000 unclosed `[` — 200 KB, far under `MAX_FRAME` — used
+/// to overflow the reader thread's stack inside the recursive JSON parser
+/// and abort the whole process. It must be refused with a typed reply (or
+/// a clean close), and the daemon must go on serving verified jobs.
+#[test]
+fn deeply_nested_frame_is_refused_and_the_daemon_survives() {
+    let _guard = serial();
+    let (addr, handle) = start_server(ServerConfig::default());
+
+    let payload = "[".repeat(200_000);
+    assert!(payload.len() < MAX_FRAME);
+    let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    sock.write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("send length prefix");
+    sock.write_all(payload.as_bytes()).expect("send payload");
+    match read_frame(&mut sock) {
+        Ok(doc) => match decode_response(&doc).expect("typed reply") {
+            Response::BadRequest { detail } => assert!(detail.contains("nesting"), "{detail}"),
+            other => panic!("unexpected response {other:?}"),
+        },
+        Err(WireError::Closed) => {}
+        Err(e) => panic!("neither a typed reply nor a clean close: {e}"),
+    }
+
+    let mut client = connect(&addr);
+    let s = spec(Workload::Stencil);
+    match client.solve(&s).expect("solve after the hostile frame") {
+        Response::Done { completed, .. } => assert_eq!(completed.checksum, reference_checksum(&s)),
+        other => panic!("unexpected response {other:?}"),
+    }
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+/// Seed documents for the codec fuzz: every `solve` request shape plus the
+/// checked-in model-checker traces (the largest documents in the tree).
+fn codec_corpus() -> &'static [String] {
+    static CORPUS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+        let mut files: Vec<_> = std::fs::read_dir(&data)
+            .expect("tests/data")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no corpus under {}", data.display());
+        MIXED
+            .iter()
+            .map(|w| encode_solve(&spec(*w)).to_string())
+            .chain(
+                files
+                    .iter()
+                    .map(|p| std::fs::read_to_string(p).expect("corpus file")),
+            )
+            .collect()
+    })
+}
+
+/// Bytes a mutation writes: JSON's structural characters and the pieces
+/// of numbers, literals and escapes, plus a NUL and a stray UTF-8 lead
+/// byte.
+const FUZZ_BYTES: &[u8] = b"[]{}\",:\\-+.eE019utfn \n\0\xc3";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes never panic the codec (or the request decoder behind
+    /// it), and every document it accepts survives write → parse unchanged.
+    #[test]
+    fn mutated_documents_never_panic_and_accepted_ones_round_trip(
+        pick in 0usize..1 << 16,
+        edits in prop::collection::vec((0usize..1 << 16, 0u8..4, 0usize..1 << 16), 1..6),
+    ) {
+        let corpus = codec_corpus();
+        let mut bytes = corpus[pick % corpus.len()].clone().into_bytes();
+        for &(at, op, which) in &edits {
+            let at = at % bytes.len().max(1);
+            let byte = FUZZ_BYTES[which % FUZZ_BYTES.len()];
+            match op {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                2 => bytes.insert(at, byte),
+                // A run long enough to cross the nesting cap.
+                _ => drop(bytes.splice(at..at, vec![byte; 60 + which % 16])),
+            }
+        }
+        // The daemon refuses non-UTF-8 frames before the parser sees them;
+        // the lossy form still exercises multi-byte scalars in strings.
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(doc) = Json::parse(&text) {
+            let _ = decode_request(&doc);
+            prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+        }
+    }
 }
