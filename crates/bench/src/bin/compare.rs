@@ -15,10 +15,13 @@
 use std::process::ExitCode;
 
 use threefive_bench::{
-    full_run, host_threads, measure_lbm, measure_seven_point, median, run_reps, BenchConfig,
+    full_run, host_threads, measure_lbm, measure_stencil, median, run_reps, BenchConfig, Spec,
 };
+use threefive_core::exec::{ScheduleKind, StencilExec};
 use threefive_grid::Dim3;
+use threefive_lbm::LbmExec;
 use threefive_machine::figures::comparisons;
+use threefive_machine::Precision;
 use threefive_sync::{SpinBarrier, ThreadTeam};
 
 /// Median nanoseconds per barrier episode when every member of `team`
@@ -74,67 +77,31 @@ fn main() -> ExitCode {
     let n = if full_run() { 512 } else { 128 };
     let nl = if full_run() { 256 } else { 96 };
 
-    // Host ratios for the comparisons we can measure directly.
-    let host_7pt_sp = {
-        let base = measure_seven_point::<f32>(
-            &cfg,
-            "simd no-blocking",
-            Dim3::cube(n),
-            4,
-            360,
-            2,
-            Some(&team),
-        )
-        .expect("valid blocking");
-        let b35 = measure_seven_point::<f32>(
-            &cfg,
-            "3.5D blocking",
-            Dim3::cube(n),
-            4,
-            360,
-            2,
-            Some(&team),
-        )
-        .expect("valid blocking");
-        b35.mups / base.mups
+    // Host ratios for the comparisons we can measure directly: 3.5-D
+    // blocking over the unblocked SIMD sweep, at the figures' blockings.
+    let spec = |precision, n, steps, tile, dim_t| Spec {
+        precision,
+        dim: Dim3::cube(n),
+        steps,
+        tile,
+        dim_t,
+        schedule: ScheduleKind::Lag35d,
+        team: &team,
     };
-    let host_7pt_dp = {
-        let base = measure_seven_point::<f64>(
-            &cfg,
-            "simd no-blocking",
-            Dim3::cube(n),
-            4,
-            256,
-            2,
-            Some(&team),
-        )
-        .expect("valid blocking");
-        let b35 = measure_seven_point::<f64>(
-            &cfg,
-            "3.5D blocking",
-            Dim3::cube(n),
-            4,
-            256,
-            2,
-            Some(&team),
-        )
-        .expect("valid blocking");
-        b35.mups / base.mups
+    let stencil_gain = |s: Spec<'_>| {
+        let mups = |e| measure_stencil(&cfg, e, &s).expect("valid blocking").mups;
+        let base = mups(StencilExec::Simd);
+        mups(StencilExec::Parallel35d) / base
     };
-    let host_lbm_sp = {
-        let base = measure_lbm::<f32>(&cfg, "simd no-blocking", nl, 3, 64, 3, Some(&team))
-            .expect("valid blocking");
-        let b35 = measure_lbm::<f32>(&cfg, "3.5D blocking", nl, 3, 64, 3, Some(&team))
-            .expect("valid blocking");
-        b35.mups / base.mups
+    let lbm_gain = |s: Spec<'_>| {
+        let mups = |e| measure_lbm(&cfg, e, &s).expect("valid blocking").mups;
+        let base = mups(LbmExec::NaiveSimd);
+        mups(LbmExec::Blocked35d) / base
     };
-    let host_lbm_dp = {
-        let base = measure_lbm::<f64>(&cfg, "simd no-blocking", nl, 3, 44, 3, Some(&team))
-            .expect("valid blocking");
-        let b35 = measure_lbm::<f64>(&cfg, "3.5D blocking", nl, 3, 44, 3, Some(&team))
-            .expect("valid blocking");
-        b35.mups / base.mups
-    };
+    let host_7pt_sp = stencil_gain(spec(Precision::Sp, n, 4, 360, 2));
+    let host_7pt_dp = stencil_gain(spec(Precision::Dp, n, 4, 256, 2));
+    let host_lbm_sp = lbm_gain(spec(Precision::Sp, nl, 3, 64, 3));
+    let host_lbm_dp = lbm_gain(spec(Precision::Dp, nl, 3, 44, 3));
 
     let hosts = [
         Some(host_7pt_sp),

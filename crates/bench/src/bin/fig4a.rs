@@ -8,9 +8,13 @@
 //! ```
 
 use threefive_bench::{
-    grid_edges, host_threads, measure_lbm, print_header, print_row, BenchConfig,
+    grid_edges, host_threads, measure_lbm, print_header, print_row, BenchConfig, Spec,
 };
+use threefive_core::exec::ScheduleKind;
+use threefive_grid::Dim3;
+use threefive_lbm::LbmExec;
 use threefive_machine::figures::fig4a_rows;
+use threefive_machine::Precision;
 use threefive_sync::ThreadTeam;
 
 fn main() {
@@ -18,31 +22,28 @@ fn main() {
     let team = ThreadTeam::new(host_threads());
     let cfg = BenchConfig::quick();
     print_header("Figure 4(a): D3Q19 LBM on CPU (MLUPS)");
-    for (prec, is_sp) in [("SP", true), ("DP", false)] {
+    for precision in [Precision::Sp, Precision::Dp] {
         for n in grid_edges() {
-            let group = format!("{prec} {n}^3");
-            // Host: keep the work bounded — a few steps is enough for a
-            // stable MLUPS number on streaming kernels.
-            let steps = if n >= 256 { 3 } else { 6 };
-            for (variant, dim_t) in [
-                ("scalar no-blocking", 3usize),
-                ("simd no-blocking", 3),
-                ("temporal only", 3),
-                ("3.5D blocking", 3),
-            ] {
-                let tile = if is_sp { 64 } else { 44 };
-                let host = if is_sp {
-                    measure_lbm::<f32>(&cfg, variant, n, steps, tile, dim_t, Some(&team))
-                } else {
-                    measure_lbm::<f64>(&cfg, variant, n, steps, tile, dim_t, Some(&team))
-                }
-                .expect("valid blocking");
-                // The model ladder labels differ slightly (no scalar bar in
-                // Fig 4a); match where possible.
-                let model_label = match variant {
-                    "scalar no-blocking" => None,
-                    "simd no-blocking" => Some("no blocking"),
-                    v => Some(v),
+            let group = format!("{} {n}^3", precision.label());
+            let spec = Spec {
+                precision,
+                dim: Dim3::cube(n),
+                // Host: keep the work bounded — a few steps is enough for
+                // a stable MLUPS number on streaming kernels.
+                steps: if n >= 256 { 3 } else { 6 },
+                tile: if precision == Precision::Sp { 64 } else { 44 },
+                dim_t: 3,
+                schedule: ScheduleKind::Lag35d,
+                team: &team,
+            };
+            for exec in LbmExec::ALL {
+                let host = measure_lbm(&cfg, exec, &spec).expect("valid blocking");
+                // Fig 4(a) has no scalar bar; the blocked bars carry the
+                // host labels.
+                let model_label = match exec {
+                    LbmExec::NaiveScalar => None,
+                    LbmExec::NaiveSimd => Some("no blocking"),
+                    LbmExec::Temporal | LbmExec::Blocked35d => Some(exec.label()),
                 };
                 let model_mups = model_label.and_then(|ml| {
                     let mg = group.replace("128", "256"); // reduced-size proxy
@@ -51,7 +52,7 @@ fn main() {
                         .find(|r| r.group == mg && r.variant == ml)
                         .map(|r| r.mups)
                 });
-                print_row(&group, variant, model_mups, Some(host.mups));
+                print_row(&group, exec.label(), model_mups, Some(host.mups));
             }
         }
     }

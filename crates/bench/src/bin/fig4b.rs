@@ -7,9 +7,12 @@
 //! ```
 
 use threefive_bench::{
-    grid_edges, host_threads, measure_seven_point, print_header, print_row, BenchConfig,
+    grid_edges, host_threads, measure_stencil, print_header, print_row, BenchConfig, Spec,
 };
+use threefive_core::exec::{ScheduleKind, StencilExec};
+use threefive_grid::Dim3;
 use threefive_machine::figures::fig4b_rows;
+use threefive_machine::Precision;
 use threefive_sync::ThreadTeam;
 
 fn main() {
@@ -17,46 +20,30 @@ fn main() {
     let team = ThreadTeam::new(host_threads());
     let cfg = BenchConfig::quick();
     print_header("Figure 4(b): 7-point stencil on CPU (MUPS)");
-    for (prec, is_sp) in [("SP", true), ("DP", false)] {
-        let (tile, dim_t) = if is_sp { (360, 2) } else { (256, 2) };
+    for precision in [Precision::Sp, Precision::Dp] {
         for n in grid_edges() {
-            let group = format!("{prec} {n}^3");
-            let steps = if n >= 256 { 4 } else { 8 };
-            for (variant, model_label) in [
-                ("simd no-blocking", Some("no blocking")),
-                ("spatial only", Some("spatial only (2.5D)")),
-                ("3.5D blocking", Some("3.5D blocking")),
+            let group = format!("{} {n}^3", precision.label());
+            let spec = Spec {
+                precision,
+                dim: Dim3::cube(n),
+                steps: if n >= 256 { 4 } else { 8 },
+                tile: if precision == Precision::Sp { 360 } else { 256 },
+                dim_t: 2,
+                schedule: ScheduleKind::Lag35d,
+                team: &team,
+            };
+            for (exec, model_label) in [
+                (StencilExec::Simd, "no blocking"),
+                (StencilExec::Blocked25d, "spatial only (2.5D)"),
+                (StencilExec::Parallel35d, StencilExec::Parallel35d.label()),
             ] {
-                let host = if is_sp {
-                    measure_seven_point::<f32>(
-                        &cfg,
-                        variant,
-                        threefive_grid::Dim3::cube(n),
-                        steps,
-                        tile,
-                        dim_t,
-                        Some(&team),
-                    )
-                } else {
-                    measure_seven_point::<f64>(
-                        &cfg,
-                        variant,
-                        threefive_grid::Dim3::cube(n),
-                        steps,
-                        tile,
-                        dim_t,
-                        Some(&team),
-                    )
-                }
-                .expect("valid blocking");
-                let model_mups = model_label.and_then(|ml| {
-                    let mg = group.replace("128", "256");
-                    model
-                        .iter()
-                        .find(|r| r.group == mg && r.variant == ml)
-                        .map(|r| r.mups)
-                });
-                print_row(&group, variant, model_mups, Some(host.mups));
+                let host = measure_stencil(&cfg, exec, &spec).expect("valid blocking");
+                let mg = group.replace("128", "256");
+                let model_mups = model
+                    .iter()
+                    .find(|r| r.group == mg && r.variant == model_label)
+                    .map(|r| r.mups);
+                print_row(&group, exec.label(), model_mups, Some(host.mups));
             }
         }
     }

@@ -5,42 +5,48 @@
 //! cargo run --release -p threefive-bench --bin fig5a
 //! ```
 
-use threefive_bench::{full_run, host_threads, measure_lbm, print_header, print_row, BenchConfig};
+use threefive_bench::{
+    full_run, host_threads, measure_lbm, print_header, print_row, BenchConfig, Spec,
+};
+use threefive_core::exec::ScheduleKind;
+use threefive_grid::Dim3;
+use threefive_lbm::LbmExec;
 use threefive_machine::figures::fig5a_rows;
+use threefive_machine::Precision;
 use threefive_sync::ThreadTeam;
 
+/// The host rung behind each of the model's six bars, in bar order. The
+/// paper's "+spatial" bar is a no-op for LBM (no spatial reuse), there is
+/// no 4-D lattice executor, and "+ILP" is a compiler-level knob here, so
+/// those bars show model numbers only.
+const HOST_LADDER: [Option<LbmExec>; 6] = [
+    Some(LbmExec::NaiveScalar),
+    Some(LbmExec::NaiveSimd),
+    None,
+    None,
+    Some(LbmExec::Blocked35d),
+    None,
+];
+
 fn main() {
-    let model = fig5a_rows();
     let team = ThreadTeam::new(host_threads());
     let cfg = BenchConfig::quick();
     let n = if full_run() { 256 } else { 96 };
-    let steps = if full_run() { 3 } else { 6 };
+    let spec = Spec {
+        precision: Precision::Sp,
+        dim: Dim3::cube(n),
+        steps: if full_run() { 3 } else { 6 },
+        tile: 64,
+        dim_t: 3,
+        schedule: ScheduleKind::Lag35d,
+        team: &team,
+    };
     print_header(&format!(
         "Figure 5(a): LBM SP optimization breakdown (model: 256^3; host: {n}^3, MLUPS)"
     ));
-
-    // Host ladder: the executors we can actually toggle. The paper's
-    // "+spatial" bar is a no-op for LBM (no spatial reuse), and "+ILP" is
-    // a compiler-level knob here, so those rows show model numbers only.
-    let host_ladder: [(&str, Option<&'static str>); 6] = [
-        ("parallel scalar, no blocking", Some("scalar no-blocking")),
-        ("+ SIMD (4-wide SSE)", Some("simd no-blocking")),
-        ("+ spatial blocking", None),
-        ("4D blocking", None),
-        ("3.5D blocking", Some("3.5D blocking")),
-        ("+ ILP (unroll, prefetch)", None),
-    ];
-    for (model_label, host_variant) in host_ladder {
-        let model_mups = model
-            .iter()
-            .find(|r| r.variant == model_label)
-            .map(|r| r.mups);
-        let host = host_variant.map(|v| {
-            measure_lbm::<f32>(&cfg, v, n, steps, 64, 3, Some(&team))
-                .expect("valid blocking")
-                .mups
-        });
-        print_row("SP", model_label, model_mups, host);
+    for (row, exec) in fig5a_rows().iter().zip(HOST_LADDER) {
+        let host = exec.map(|e| measure_lbm(&cfg, e, &spec).expect("valid blocking").mups);
+        print_row("SP", row.variant, Some(row.mups), host);
     }
     println!(
         "\npaper bars: 52 -> 87 -> 87 -> 94 -> 157 -> 171 MLUPS. Shape to check: \

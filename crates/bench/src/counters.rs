@@ -24,16 +24,19 @@
 
 use threefive_cachesim::trace::{blocked35d_trace, naive_sweep_trace, temporal_trace};
 use threefive_cachesim::CacheSim;
+use threefive_core::exec::StencilExec;
 use threefive_core::planner::{kappa_35d, kappa_4d};
-use threefive_grid::Dim3;
+use threefive_core::stats::SweepStats;
+use threefive_lbm::model::Q;
+use threefive_lbm::LbmExec;
 use threefive_machine::{
     core_i7, lbm_traffic, predict, roofline::CPU_ALU_EFF, seven_point_traffic, Bound, Machine,
-    Precision, Scenario,
+    Scenario,
 };
 use threefive_sync::{WaitHistogram, WAIT_HIST_BUCKETS};
 
 use crate::json::Json;
-use crate::Measurement;
+use crate::{Measurement, Spec};
 
 /// LBM bandwidth efficiency on the CPU (the paper measures 20.5 GB/s of
 /// 22 GB/s achievable for the 39-stream access pattern). Mirrors the
@@ -189,54 +192,88 @@ fn kappa_stencil_35d(tile: usize, dim_t: usize, r: usize, nx: usize, ny: usize) 
     kappa_35d(r, dim_t, loaded, loaded)
 }
 
-/// Rebuilds the roofline scenario for one stencil bench variant, using
-/// the same per-variant byte/op multipliers as `machine::figures`.
-pub fn stencil_scenario(
-    m: &Machine,
-    p: Precision,
-    variant: &'static str,
-    dim: Dim3,
-    tile: usize,
-    dim_t: usize,
-) -> Scenario {
+/// The planner's κ for a stencil rung at the block it actually runs.
+fn stencil_kappa(exec: StencilExec, spec: &Spec<'_>) -> f64 {
+    let r = seven_point_traffic().radius;
+    let block = exec.block(spec.tile);
+    match exec {
+        StencilExec::Blocked4d => kappa_4d(r, spec.dim_t, block, block, block),
+        StencilExec::Parallel35d | StencilExec::TileParallel35d => {
+            kappa_stencil_35d(block, spec.dim_t, r, spec.dim.nx, spec.dim.ny)
+        }
+        // Spatial-only rungs and whole-plane tiles recompute nothing.
+        StencilExec::Reference
+        | StencilExec::Simd
+        | StencilExec::Blocked3d
+        | StencilExec::Blocked25d
+        | StencilExec::Temporal => 1.0,
+    }
+}
+
+/// Modeled DRAM traffic and κ of one LBM sweep, which the lattice
+/// executors do not count: each dim_T chunk streams all 19 distribution
+/// planes in and out once (write-allocate folded into the write stream),
+/// and κ is the planner's at the blocking that ran — 1 when the tile
+/// covers the plane, as for the stencil.
+pub fn lbm_traffic_and_kappa(exec: LbmExec, spec: &Spec<'_>) -> (SweepStats, f64) {
+    let lattice_bytes = (spec.dim.len() * Q * spec.precision.elem_bytes()) as u64;
+    let (chunks, kappa) = match exec {
+        LbmExec::NaiveScalar | LbmExec::NaiveSimd => (spec.steps, 1.0),
+        LbmExec::Temporal => (spec.steps.div_ceil(spec.dim_t), 1.0),
+        LbmExec::Blocked35d => (
+            spec.steps.div_ceil(spec.dim_t),
+            kappa_stencil_35d(spec.tile, spec.dim_t, 1, spec.dim.nx, spec.dim.ny),
+        ),
+    };
+    let bytes = lattice_bytes * chunks as u64;
+    let stats = SweepStats {
+        stencil_updates: 0,
+        committed_points: 0,
+        dram_bytes_read: bytes,
+        dram_bytes_written: bytes,
+    };
+    (stats, kappa)
+}
+
+/// The bandwidth gain of temporal-only blocking: dim_T rings of whole
+/// planes of `plane_bytes` must fit in cache (§VII-B), or nothing is won.
+fn temporal_gain(m: &Machine, dim_t: usize, plane_bytes: usize) -> f64 {
+    if dim_t * 4 * plane_bytes <= m.fast_storage_bytes {
+        dim_t as f64
+    } else {
+        1.0
+    }
+}
+
+/// Rebuilds the roofline scenario for one stencil rung, using the same
+/// per-variant byte/op multipliers as `machine::figures`.
+fn stencil_scenario(m: &Machine, exec: StencilExec, spec: &Spec<'_>) -> Scenario {
+    let (p, dim, dim_t) = (spec.precision, spec.dim, spec.dim_t);
     let k = seven_point_traffic();
-    let r = k.radius;
-    let points = dim.nx * dim.ny * dim.nz;
     // Both grids in the LLC → nothing is bandwidth bound (§VII-A).
-    let in_cache = 2 * points * p.elem_bytes() <= 2 * m.fast_storage_bytes;
+    let in_cache = 2 * dim.len() * p.elem_bytes() <= 2 * m.fast_storage_bytes;
     let base_bytes = if in_cache {
         0.0
     } else {
         k.blocked_bytes_per_update(p)
     };
     let ops = k.ops_per_update as f64;
-    let (bytes_per_update, ops_per_update) = match variant {
+    let kappa = stencil_kappa(exec, spec);
+    let (bytes_per_update, ops_per_update) = match exec {
         // Roofline ops are post-SIMD-division; scalar forfeits the lanes.
-        "scalar" => (base_bytes, ops * m.simd_width_sp as f64),
-        "temporal only" => {
-            // dim_T rings of full XY planes must fit in cache (§VII-B).
-            let ring_bytes = dim_t * 4 * dim.nx * dim.ny * k.elem_bytes(p);
-            let gain = if ring_bytes <= m.fast_storage_bytes {
-                dim_t as f64
-            } else {
-                1.0
-            };
+        StencilExec::Reference => (base_bytes, ops * m.simd_width_sp as f64),
+        StencilExec::Temporal => {
+            let gain = temporal_gain(m, dim_t, dim.nx * dim.ny * k.elem_bytes(p));
             (base_bytes / gain, ops)
         }
-        "4D blocking" => {
-            let kappa = kappa_4d(r, dim_t, tile, tile, tile);
+        StencilExec::Blocked4d | StencilExec::Parallel35d | StencilExec::TileParallel35d => {
             (base_bytes * kappa / dim_t as f64, ops * kappa)
         }
-        "3.5D blocking" | "tile 3.5D" => {
-            let kappa = kappa_stencil_35d(tile, dim_t, r, dim.nx, dim.ny);
-            (base_bytes * kappa / dim_t as f64, ops * kappa)
-        }
-        // "simd no-blocking", "3D blocking", "spatial only": ideal spatial
-        // reuse, no temporal gain, no ghost recomputation.
-        _ => (base_bytes, ops),
+        // Ideal spatial reuse, no temporal gain, no ghost recomputation.
+        StencilExec::Simd | StencilExec::Blocked3d | StencilExec::Blocked25d => (base_bytes, ops),
     };
     Scenario {
-        label: variant,
+        label: exec.label(),
         bytes_per_update,
         ops_per_update,
         alu_eff: CPU_ALU_EFF,
@@ -244,37 +281,26 @@ pub fn stencil_scenario(
     }
 }
 
-/// Rebuilds the roofline scenario for one LBM bench variant.
-pub fn lbm_scenario(
-    m: &Machine,
-    p: Precision,
-    variant: &'static str,
-    n: usize,
-    tile: usize,
-    dim_t: usize,
-) -> Scenario {
+/// Rebuilds the roofline scenario for one LBM rung.
+fn lbm_scenario(m: &Machine, exec: LbmExec, spec: &Spec<'_>) -> Scenario {
+    let (p, dim, dim_t) = (spec.precision, spec.dim, spec.dim_t);
     let k = lbm_traffic();
     let bytes = k.blocked_bytes_per_update(p);
     let ops = k.ops_per_update as f64;
-    let (bytes_per_update, ops_per_update) = match variant {
-        "scalar no-blocking" => (bytes, ops * m.simd_width_sp as f64),
-        "temporal only" => {
-            let ring_bytes = dim_t * 4 * n * n * k.elem_bytes(p);
-            let gain = if ring_bytes <= m.fast_storage_bytes {
-                dim_t as f64
-            } else {
-                1.0
-            };
+    let (bytes_per_update, ops_per_update) = match exec {
+        LbmExec::NaiveScalar => (bytes, ops * m.simd_width_sp as f64),
+        LbmExec::NaiveSimd => (bytes, ops),
+        LbmExec::Temporal => {
+            let gain = temporal_gain(m, dim_t, dim.nx * dim.ny * k.elem_bytes(p));
             (bytes / gain, ops)
         }
-        "3.5D blocking" => {
-            let kappa = kappa_stencil_35d(tile, dim_t, k.radius, n, n);
+        LbmExec::Blocked35d => {
+            let (_, kappa) = lbm_traffic_and_kappa(exec, spec);
             (bytes * kappa / dim_t as f64, ops * kappa)
         }
-        _ => (bytes, ops), // "simd no-blocking"
     };
     Scenario {
-        label: variant,
+        label: exec.label(),
         bytes_per_update,
         ops_per_update,
         alu_eff: CPU_ALU_EFF,
@@ -282,20 +308,25 @@ pub fn lbm_scenario(
     }
 }
 
-fn roofline_counters(
-    reg: &mut CounterRegistry,
+/// The counters every measured rung reports — roofline attainment on
+/// `m`, κ model vs measured, modeled traffic, `extra` kernel-specific
+/// counters, then the barrier-wait share when the rung ran observed.
+fn telemetry(
     m: &Machine,
-    p: Precision,
-    s: &Scenario,
-    mups: f64,
-) {
-    let pred = predict(m, p, s);
-    reg.set("mups_measured", mups);
+    spec: &Spec<'_>,
+    scenario: &Scenario,
+    kappa_model: f64,
+    meas: &Measurement,
+    extra: impl FnOnce(&mut CounterRegistry),
+) -> Telemetry {
+    let pred = predict(m, spec.precision, scenario);
+    let mut reg = CounterRegistry::new();
+    reg.set("mups_measured", meas.mups);
     reg.set("mups_roofline", pred.mups);
     reg.set(
         "roofline_attainment_pct",
         if pred.mups > 0.0 {
-            100.0 * mups / pred.mups
+            100.0 * meas.mups / pred.mups
         } else {
             0.0
         },
@@ -307,54 +338,10 @@ fn roofline_counters(
             Bound::Bandwidth => 0.0,
         },
     );
-}
-
-/// Builds the telemetry block for a measured 7-point stencil variant.
-pub fn stencil_telemetry(
-    p: Precision,
-    meas: &Measurement,
-    dim: Dim3,
-    steps: usize,
-    tile: usize,
-    dim_t: usize,
-) -> Telemetry {
-    let m = core_i7();
-    let k = seven_point_traffic();
-    let mut reg = CounterRegistry::new();
-    let scenario = stencil_scenario(&m, p, meas.label, dim, tile, dim_t);
-    roofline_counters(&mut reg, &m, p, &scenario, meas.mups);
-
-    let kappa_model = match meas.label {
-        "4D blocking" => kappa_4d(k.radius, dim_t, tile, tile, tile),
-        "temporal only" | "3.5D blocking" | "tile 3.5D" => {
-            kappa_stencil_35d(tile, dim_t, k.radius, dim.nx, dim.ny)
-        }
-        _ => 1.0,
-    };
     reg.set("kappa_model", kappa_model);
     reg.set("kappa_measured", meas.kappa);
-    let modeled = meas.stats.dram_bytes_read + meas.stats.dram_bytes_written;
-    reg.set("modeled_dram_bytes", modeled as f64);
-
-    let points = (dim.nx * dim.ny * dim.nz) as u64;
-    if points.saturating_mul(steps as u64) <= CACHESIM_MAX_POINT_STEPS {
-        let mut cache = CacheSim::llc(m.fast_storage_bytes);
-        let elem = p.elem_bytes();
-        let ss = k.streaming_stores;
-        let res = match meas.label {
-            "temporal only" => temporal_trace(dim, elem, steps, dim_t, ss, &mut cache),
-            "4D blocking" | "3.5D blocking" | "tile 3.5D" => {
-                blocked35d_trace(dim, elem, steps, tile, dim_t, ss, &mut cache)
-            }
-            _ => naive_sweep_trace(dim, elem, steps, ss, &mut cache),
-        };
-        reg.set(
-            "cachesim_dram_bytes",
-            res.stats.dram_bytes(res.line_bytes) as f64,
-        );
-        reg.set("cachesim_hit_rate", res.stats.hit_rate());
-    }
-
+    reg.set("modeled_dram_bytes", meas.stats.dram_bytes() as f64);
+    extra(&mut reg);
     if let Some(share) = meas.barrier_share {
         reg.set("barrier_share", share);
     }
@@ -365,37 +352,60 @@ pub fn stencil_telemetry(
     }
 }
 
-/// Builds the telemetry block for a measured LBM variant. The cachesim
-/// has no D3Q19 trace generator, so only modeled traffic is reported.
-pub fn lbm_telemetry(
-    p: Precision,
-    meas: &Measurement,
-    n: usize,
-    tile: usize,
-    dim_t: usize,
-) -> Telemetry {
+/// Builds the telemetry block for a measured 7-point stencil rung; κ and
+/// the cachesim replay are evaluated at the block the rung actually ran.
+pub fn stencil_telemetry(exec: StencilExec, spec: &Spec<'_>, meas: &Measurement) -> Telemetry {
     let m = core_i7();
-    let mut reg = CounterRegistry::new();
-    let scenario = lbm_scenario(&m, p, meas.label, n, tile, dim_t);
-    roofline_counters(&mut reg, &m, p, &scenario, meas.mups);
-    reg.set("kappa_model", meas.kappa);
-    reg.set("kappa_measured", meas.kappa);
-    let modeled = meas.stats.dram_bytes_read + meas.stats.dram_bytes_written;
-    reg.set("modeled_dram_bytes", modeled as f64);
-    if let Some(share) = meas.barrier_share {
-        reg.set("barrier_share", share);
-    }
-    Telemetry {
-        machine: m.name.to_string(),
-        counters: reg,
-        wait_hist: meas.barrier_hist,
-    }
+    let scenario = stencil_scenario(&m, exec, spec);
+    telemetry(
+        &m,
+        spec,
+        &scenario,
+        stencil_kappa(exec, spec),
+        meas,
+        |reg| {
+            let (dim, steps, dim_t) = (spec.dim, spec.steps, spec.dim_t);
+            if (dim.len() as u64).saturating_mul(steps as u64) > CACHESIM_MAX_POINT_STEPS {
+                return;
+            }
+            let mut cache = CacheSim::llc(m.fast_storage_bytes);
+            let elem = spec.precision.elem_bytes();
+            let ss = seven_point_traffic().streaming_stores;
+            let block = exec.block(spec.tile);
+            let res = match exec {
+                StencilExec::Temporal => temporal_trace(dim, elem, steps, dim_t, ss, &mut cache),
+                StencilExec::Blocked4d
+                | StencilExec::Parallel35d
+                | StencilExec::TileParallel35d => {
+                    blocked35d_trace(dim, elem, steps, block, dim_t, ss, &mut cache)
+                }
+                StencilExec::Reference
+                | StencilExec::Simd
+                | StencilExec::Blocked3d
+                | StencilExec::Blocked25d => naive_sweep_trace(dim, elem, steps, ss, &mut cache),
+            };
+            reg.set(
+                "cachesim_dram_bytes",
+                res.stats.dram_bytes(res.line_bytes) as f64,
+            );
+            reg.set("cachesim_hit_rate", res.stats.hit_rate());
+        },
+    )
+}
+
+/// Builds the telemetry block for a measured LBM rung. The cachesim has
+/// no D3Q19 trace generator, so only modeled traffic is reported.
+pub fn lbm_telemetry(exec: LbmExec, spec: &Spec<'_>, meas: &Measurement) -> Telemetry {
+    let m = core_i7();
+    let scenario = lbm_scenario(&m, exec, spec);
+    telemetry(&m, spec, &scenario, meas.kappa, meas, |_| {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
+    use threefive_sync::ThreadTeam;
 
     #[test]
     fn registry_preserves_order_and_round_trips() {
@@ -467,31 +477,39 @@ mod tests {
     #[test]
     fn scenarios_mirror_figures_multipliers() {
         let m = core_i7();
-        let p = Precision::Sp;
-        let dim = Dim3::cube(256);
+        let team = ThreadTeam::new(1);
+        let dim_t = 4;
+        let big = Spec::sp_cube(&team, 256, 2, 64, dim_t);
         // Out of cache: base bytes are the ideal 8 B/update.
-        let no_block = stencil_scenario(&m, p, "simd no-blocking", dim, 64, 4);
+        let no_block = stencil_scenario(&m, StencilExec::Simd, &big);
         assert_eq!(no_block.bytes_per_update, 8.0);
         assert_eq!(no_block.ops_per_update, 16.0);
         // Scalar pays the SIMD width in ops.
-        let scalar = stencil_scenario(&m, p, "scalar", dim, 64, 4);
+        let scalar = stencil_scenario(&m, StencilExec::Reference, &big);
         assert_eq!(scalar.ops_per_update, 16.0 * m.simd_width_sp as f64);
         // 3.5-D divides bytes by dim_T and inflates both sides by κ.
-        let dim_t = 4;
         let kappa = kappa_stencil_35d(64, dim_t, 1, 256, 256);
-        let blocked = stencil_scenario(&m, p, "3.5D blocking", dim, 64, dim_t);
+        let blocked = stencil_scenario(&m, StencilExec::Parallel35d, &big);
         assert!((blocked.bytes_per_update - 8.0 * kappa / dim_t as f64).abs() < 1e-12);
         assert!((blocked.ops_per_update - 16.0 * kappa).abs() < 1e-12);
         // In-cache grids have zero base bytes → compute bound.
-        let small = stencil_scenario(&m, p, "simd no-blocking", Dim3::cube(64), 64, 4);
+        let small = stencil_scenario(
+            &m,
+            StencilExec::Simd,
+            &Spec::sp_cube(&team, 64, 2, 64, dim_t),
+        );
         assert_eq!(small.bytes_per_update, 0.0);
     }
 
     #[test]
     fn stencil_telemetry_reports_attainment_and_cachesim_traffic() {
-        let dim = Dim3::cube(32);
+        let team = ThreadTeam::new(1);
         let meas = Measurement::synthetic("3.5D blocking", 100.0);
-        let t = stencil_telemetry(Precision::Sp, &meas, dim, 2, 16, 2);
+        let t = stencil_telemetry(
+            StencilExec::Parallel35d,
+            &Spec::sp_cube(&team, 32, 2, 16, 2),
+            &meas,
+        );
         let roof = t.counters.get("mups_roofline").unwrap();
         assert!(roof > 0.0);
         let att = t.counters.get("roofline_attainment_pct").unwrap();
@@ -503,19 +521,70 @@ mod tests {
         assert_eq!(t.machine, core_i7().name);
     }
 
+    /// 4-D blocking runs at `block(tile)` = 48 for a 64 tile, so its model
+    /// κ and cachesim replay must be evaluated there, not at 64.
+    #[test]
+    fn four_d_telemetry_is_evaluated_at_the_block_that_ran() {
+        let team = ThreadTeam::new(1);
+        let (n, steps, dim_t) = (64, 2, 2);
+        let s = Spec::sp_cube(&team, n, steps, 64, dim_t);
+        let meas = Measurement::synthetic("4D blocking", 100.0);
+        let t = stencil_telemetry(StencilExec::Blocked4d, &s, &meas);
+        assert_eq!(
+            t.counters.get("kappa_model"),
+            Some(kappa_4d(1, dim_t, 48, 48, 48))
+        );
+        let mut cache = CacheSim::llc(core_i7().fast_storage_bytes);
+        let at_48 = blocked35d_trace(s.dim, 4, steps, 48, dim_t, true, &mut cache);
+        assert_eq!(
+            t.counters.get("cachesim_dram_bytes"),
+            Some(at_48.stats.dram_bytes(at_48.line_bytes) as f64)
+        );
+    }
+
+    #[test]
+    fn lbm_kappa_is_one_on_whole_plane_tiles_and_unchanged_below() {
+        let team = ThreadTeam::new(1);
+        let dim_t = 2;
+        let kappa =
+            |exec, tile| lbm_traffic_and_kappa(exec, &Spec::sp_cube(&team, 64, 4, tile, dim_t)).1;
+        for tile in [64, 100] {
+            assert_eq!(kappa(LbmExec::Blocked35d, tile), 1.0, "tile {tile}");
+        }
+        let loaded = 32 + 2 * dim_t;
+        assert_eq!(
+            kappa(LbmExec::Blocked35d, 32),
+            kappa_35d(1, dim_t, loaded, loaded)
+        );
+        // The whole-plane rung stays at κ = 1 whatever tile is requested.
+        for tile in [32, 64, 100] {
+            assert_eq!(kappa(LbmExec::Temporal, tile), 1.0, "tile {tile}");
+        }
+    }
+
     #[test]
     fn cachesim_replay_is_skipped_above_the_cap() {
-        let dim = Dim3::cube(512); // 512³ × 4 steps ≫ 2^24
+        let team = ThreadTeam::new(1);
         let meas = Measurement::synthetic("3.5D blocking", 100.0);
-        let t = stencil_telemetry(Precision::Sp, &meas, dim, 4, 64, 4);
+        // 512³ × 4 steps ≫ 2^24
+        let t = stencil_telemetry(
+            StencilExec::Parallel35d,
+            &Spec::sp_cube(&team, 512, 4, 64, 4),
+            &meas,
+        );
         assert!(t.counters.get("cachesim_dram_bytes").is_none());
         assert!(t.counters.get("mups_roofline").is_some());
     }
 
     #[test]
     fn lbm_telemetry_has_roofline_but_no_cachesim() {
+        let team = ThreadTeam::new(1);
         let meas = Measurement::synthetic("3.5D blocking", 50.0);
-        let t = lbm_telemetry(Precision::Sp, &meas, 64, 32, 2);
+        let t = lbm_telemetry(
+            LbmExec::Blocked35d,
+            &Spec::sp_cube(&team, 64, 2, 32, 2),
+            &meas,
+        );
         assert!(t.counters.get("mups_roofline").is_some());
         assert!(t.counters.get("cachesim_dram_bytes").is_none());
     }

@@ -36,15 +36,13 @@
 
 use std::time::Instant;
 
-use threefive_core::exec::{
-    blocked25d_sweep, blocked3d_sweep, blocked4d_sweep, reference_sweep, simd_sweep,
-    tile_parallel35d_sweep, try_parallel35d_sweep, Blocking35, ScheduleKind,
-};
+use threefive_core::exec::{Blocking35, ScheduleKind, StencilExec};
 use threefive_core::stats::SweepStats;
 use threefive_core::{ExecError, SevenPoint, StencilKernel};
 use threefive_grid::{Dim3, DoubleGrid, Grid3, Real};
-use threefive_lbm::{lbm_naive_sweep, try_lbm35d_sweep, LbmBlocking, LbmError, LbmMode};
-use threefive_sync::{Instrument, Observer, ThreadTeam, WaitHistogram};
+use threefive_lbm::{LbmBlocking, LbmError, LbmExec};
+use threefive_machine::Precision;
+use threefive_sync::{Instrument, Observer, SweepTiming, ThreadTeam, WaitHistogram};
 
 pub mod counters;
 pub mod json;
@@ -72,26 +70,6 @@ pub fn grid_edges() -> Vec<usize> {
 pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |c| c.get())
 }
-
-/// The stencil variant labels the harness understands, in ladder order.
-pub const STENCIL_VARIANTS: &[&str] = &[
-    "scalar",
-    "simd no-blocking",
-    "3D blocking",
-    "spatial only",
-    "temporal only",
-    "4D blocking",
-    "3.5D blocking",
-    "tile 3.5D",
-];
-
-/// The LBM variant labels the harness understands, in ladder order.
-pub const LBM_VARIANTS: &[&str] = &[
-    "scalar no-blocking",
-    "simd no-blocking",
-    "temporal only",
-    "3.5D blocking",
-];
 
 /// Repetition policy for one measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,6 +128,70 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// What one measurement runs: precision, problem, blocking and team. One
+/// spec drives every rung of either ladder; each rung reads the fields it
+/// needs ([`StencilExec::sweep`], [`LbmExec::sweep`]).
+#[derive(Clone, Copy)]
+pub struct Spec<'a> {
+    /// Element precision; f32/f64 is dispatched once, inside `measure_*`.
+    pub precision: Precision,
+    /// Grid extent (for LBM, of the lid-driven cavity).
+    pub dim: Dim3,
+    /// Time steps per repetition.
+    pub steps: usize,
+    /// Requested block edge (dimX = dimY = tile).
+    pub tile: usize,
+    /// Temporal depth dim_T.
+    pub dim_t: usize,
+    /// Temporal-blocking schedule of the engine-backed rungs.
+    pub schedule: ScheduleKind,
+    /// The team the team-parallel rungs run on.
+    pub team: &'a ThreadTeam,
+}
+
+impl<'a> Spec<'a> {
+    /// The blocking a [`StencilExec`] rung is handed, unvalidated: the
+    /// rung rejects zero parameters itself.
+    pub fn stencil_blocking(&self) -> Blocking35 {
+        Blocking35 {
+            dim_x: self.tile,
+            dim_y: self.tile,
+            dim_t: self.dim_t,
+            schedule: self.schedule,
+        }
+    }
+
+    /// The blocking an [`LbmExec`] rung is handed, unvalidated.
+    pub fn lbm_blocking(&self) -> LbmBlocking {
+        LbmBlocking {
+            dim_x: self.tile,
+            dim_y: self.tile,
+            dim_t: self.dim_t,
+            schedule: self.schedule,
+        }
+    }
+
+    /// A single-precision lag35d spec on an `n`³ grid, for unit tests.
+    #[cfg(test)]
+    pub(crate) fn sp_cube(
+        team: &'a ThreadTeam,
+        n: usize,
+        steps: usize,
+        tile: usize,
+        dim_t: usize,
+    ) -> Self {
+        Self {
+            precision: Precision::Sp,
+            dim: Dim3::cube(n),
+            steps,
+            tile,
+            dim_t,
+            schedule: ScheduleKind::Lag35d,
+            team,
+        }
+    }
+}
+
 /// A measured throughput sample: repetition timings plus the work/traffic
 /// accounting needed to report honest MUPS.
 #[derive(Clone, Debug)]
@@ -168,11 +210,11 @@ pub struct Measurement {
     /// κ: stencil variants report the measured update overestimation;
     /// LBM variants report the planner's modeled κ for their blocking.
     pub kappa: f64,
-    /// Barrier-wait share of the last timed repetition (instrumented
-    /// parallel variants only).
+    /// Barrier-wait share of the last timed repetition (observed
+    /// variants only).
     pub barrier_share: Option<f64>,
-    /// Barrier-wait histogram of the last timed repetition (instrumented
-    /// parallel variants only).
+    /// Barrier-wait histogram of the last timed repetition (observed
+    /// variants only).
     pub barrier_hist: Option<WaitHistogram>,
     /// Temporal-blocking schedule the sweep ran under — `Some` only for
     /// variants backed by the unified engine (the no-blocking and purely
@@ -192,8 +234,7 @@ impl Measurement {
         interior_updates: u64,
         stats: SweepStats,
         kappa: f64,
-        barrier_share: Option<f64>,
-        barrier_hist: Option<WaitHistogram>,
+        timing: Option<&SweepTiming>,
     ) -> Self {
         let med = median(&secs);
         Self {
@@ -201,8 +242,8 @@ impl Measurement {
             interior_updates,
             stats,
             kappa,
-            barrier_share,
-            barrier_hist,
+            barrier_share: timing.map(SweepTiming::barrier_share),
+            barrier_hist: timing.map(|t| t.wait_hist),
             schedule: None,
             mups: interior_updates as f64 / med / 1e6,
             secs,
@@ -213,17 +254,14 @@ impl Measurement {
     /// at the given MUPS, default stats, κ = 1, no instrumentation.
     #[cfg(test)]
     pub(crate) fn synthetic(label: &'static str, mups: f64) -> Self {
-        Self {
+        Self::from_parts(
             label,
-            secs: vec![1.0],
-            interior_updates: (mups * 1e6) as u64,
-            stats: SweepStats::default(),
-            kappa: 1.0,
-            barrier_share: None,
-            barrier_hist: None,
-            schedule: None,
-            mups,
-        }
+            vec![1.0],
+            (mups * 1e6) as u64,
+            SweepStats::default(),
+            1.0,
+            None,
+        )
     }
 
     /// Median repetition time in seconds.
@@ -242,312 +280,119 @@ impl Measurement {
     }
 }
 
-/// Times the 7-point stencil under the given variant (one of
-/// [`STENCIL_VARIANTS`]) with warmup and repetitions per `cfg`.
-///
-/// Zero blocking parameters surface as [`ExecError::InvalidBlocking`]
-/// instead of panicking, so CLI input can be routed here directly.
-///
-/// # Panics
-/// Panics on an unknown `variant` label (a programmer error — callers
-/// select labels from [`STENCIL_VARIANTS`]).
-pub fn measure_seven_point<T: Real>(
+/// Runs `sweep` under `cfg` with an observer that records barrier-wait
+/// timing when `observed`, and returns the timed seconds, the last
+/// repetition's result and the last timed repetition's timing (observed
+/// only). Any repetition's error is returned instead.
+fn time_reps<R: Default, E>(
     cfg: &BenchConfig,
-    variant: &'static str,
-    dim: Dim3,
-    steps: usize,
-    tile: usize,
-    dim_t: usize,
-    team: Option<&ThreadTeam>,
-) -> Result<Measurement, ExecError>
-where
-    SevenPoint<T>: StencilKernel<T>,
-{
-    measure_seven_point_scheduled::<T>(
-        cfg,
-        variant,
-        dim,
-        steps,
-        tile,
-        dim_t,
-        team,
-        ScheduleKind::Lag35d,
-    )
-}
-
-/// Whether [`measure_seven_point_scheduled`] runs `variant` on the thread
-/// team it is handed: exactly the engine-backed variants do; every other
-/// variant executes on the calling thread alone.
-pub fn stencil_variant_uses_team(variant: &str) -> bool {
-    matches!(variant, "temporal only" | "3.5D blocking" | "tile 3.5D")
-}
-
-/// [`measure_seven_point`] with an explicit temporal-blocking schedule
-/// for the engine-backed variants (`temporal only`, `3.5D blocking`,
-/// `tile 3.5D`); the other variants ignore it.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_seven_point_scheduled<T: Real>(
-    cfg: &BenchConfig,
-    variant: &'static str,
-    dim: Dim3,
-    steps: usize,
-    tile: usize,
-    dim_t: usize,
-    team: Option<&ThreadTeam>,
-    schedule: ScheduleKind,
-) -> Result<Measurement, ExecError>
-where
-    SevenPoint<T>: StencilKernel<T>,
-{
-    let kernel = SevenPoint::<T>::heat(T::from_f64(0.125));
-    let r = kernel.radius();
-    let tile = tile.min(dim.nx).min(dim.ny);
-    // Validate user-controlled blocking parameters up front, before any
-    // executor can reach a panicking constructor.
-    let needs_blocking = !matches!(variant, "scalar" | "simd no-blocking");
-    if needs_blocking {
-        let checked_dim_t = if matches!(variant, "3D blocking" | "spatial only") {
-            1 // purely spatial variants ignore dim_t
-        } else {
-            dim_t
-        };
-        Blocking35::try_new(tile, tile, checked_dim_t)?;
-    }
-
-    let initial = Grid3::<T>::from_fn(dim, |x, y, z| {
-        T::from_f64(((x * 13 + y * 7 + z * 3) % 17) as f64 * 0.1)
-    });
-    let mut grids = DoubleGrid::from_initial(initial);
-    let serial_team;
-    let team = match team {
-        Some(t) => t,
-        None => {
-            serial_team = ThreadTeam::new(1);
-            &serial_team
-        }
-    };
-    let instrumented = matches!(variant, "3.5D blocking");
-    let instr = if instrumented {
+    team: &ThreadTeam,
+    observed: bool,
+    mut sweep: impl FnMut(&Observer<'_>) -> Result<R, E>,
+) -> Result<(Vec<f64>, R, Option<SweepTiming>), E> {
+    let instr = if observed {
         Instrument::enabled(team.threads())
     } else {
         Instrument::disabled()
     };
     let obs = Observer::with_instrument(&instr);
-
-    let mut err: Option<ExecError> = None;
-    let (secs, stats_per_rep) = run_reps(cfg, |is_warmup| {
-        if !is_warmup && instr.is_enabled() {
+    let mut err = None;
+    let (secs, mut results) = run_reps(cfg, |is_warmup| {
+        if !is_warmup {
             // Keep only the current timed repetition in the barrier-share
             // numbers: the final snapshot then reflects the last timed
             // rep, never the warmup's cold-cache behavior.
             instr.reset();
         }
-        match variant {
-            "scalar" => reference_sweep(&kernel, &mut grids, steps),
-            "simd no-blocking" => simd_sweep(&kernel, &mut grids, steps),
-            "3D blocking" => blocked3d_sweep(&kernel, &mut grids, steps, tile.min(64)),
-            "spatial only" => blocked25d_sweep(&kernel, &mut grids, steps, tile, tile),
-            "temporal only" => {
-                // Whole-plane tiles: the temporal-only special case.
-                let b = Blocking35 {
-                    dim_x: dim.nx,
-                    dim_y: dim.ny,
-                    dim_t,
-                    schedule,
-                };
-                match try_parallel35d_sweep(&kernel, &mut grids, steps, b, team, None, &obs) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        err.get_or_insert(e);
-                        SweepStats::default()
-                    }
-                }
-            }
-            "4D blocking" => blocked4d_sweep(&kernel, &mut grids, steps, tile.min(48), dim_t),
-            "3.5D blocking" => {
-                let b = Blocking35 {
-                    dim_x: tile,
-                    dim_y: tile,
-                    dim_t,
-                    schedule,
-                };
-                match try_parallel35d_sweep(&kernel, &mut grids, steps, b, team, None, &obs) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        err.get_or_insert(e);
-                        SweepStats::default()
-                    }
-                }
-            }
-            "tile 3.5D" => tile_parallel35d_sweep(
-                &kernel,
-                &mut grids,
-                steps,
-                Blocking35 {
-                    dim_x: tile,
-                    dim_y: tile,
-                    dim_t,
-                    schedule,
-                },
-                team,
-            ),
-            other => panic!("unknown stencil variant {other}"),
-        }
+        sweep(&obs).unwrap_or_else(|e| {
+            err.get_or_insert(e);
+            R::default()
+        })
     });
-    if let Some(e) = err {
-        return Err(e);
+    match err {
+        Some(e) => Err(e),
+        None => {
+            let last = results.pop().expect("at least one repetition");
+            Ok((secs, last, observed.then(|| instr.timing())))
+        }
     }
+}
 
-    let stats = *stats_per_rep.last().expect("at least one repetition");
-    let interior = dim.interior_region(r).len() as u64 * steps as u64;
-    let timing = instr.timing();
-    let barrier_share = instrumented.then(|| timing.barrier_share());
-    let barrier_hist = instrumented.then_some(timing.wait_hist);
-    let mut m = Measurement::from_parts(
-        variant,
-        secs,
-        interior,
-        stats,
-        stats.overestimation(),
-        barrier_share,
-        barrier_hist,
-    );
-    if matches!(variant, "temporal only" | "3.5D blocking" | "tile 3.5D") {
-        m.schedule = Some(schedule);
+/// Times the 7-point heat stencil on `exec` under `cfg`.
+///
+/// MUPS counts interior updates only (the Dirichlet rim is never
+/// updated). Invalid blocking surfaces as [`ExecError::InvalidBlocking`]
+/// instead of panicking, so CLI input can be routed here directly.
+pub fn measure_stencil(
+    cfg: &BenchConfig,
+    exec: StencilExec,
+    spec: &Spec<'_>,
+) -> Result<Measurement, ExecError> {
+    match spec.precision {
+        Precision::Sp => measure_stencil_as::<f32>(cfg, exec, spec),
+        Precision::Dp => measure_stencil_as::<f64>(cfg, exec, spec),
     }
+}
+
+fn measure_stencil_as<T: Real>(
+    cfg: &BenchConfig,
+    exec: StencilExec,
+    spec: &Spec<'_>,
+) -> Result<Measurement, ExecError>
+where
+    SevenPoint<T>: StencilKernel<T>,
+{
+    let kernel = SevenPoint::<T>::heat(T::from_f64(0.125));
+    let initial = Grid3::<T>::from_fn(spec.dim, |x, y, z| {
+        T::from_f64(((x * 13 + y * 7 + z * 3) % 17) as f64 * 0.1)
+    });
+    let mut grids = DoubleGrid::from_initial(initial);
+    let b = spec.stencil_blocking();
+    let (secs, stats, timing) = time_reps(cfg, spec.team, exec.observed(), |obs| {
+        exec.sweep(&kernel, &mut grids, spec.steps, b, spec.team, obs)
+    })?;
+    let interior = spec.dim.interior_region(kernel.radius()).len() as u64 * spec.steps as u64;
+    let kappa = stats.overestimation();
+    let mut m =
+        Measurement::from_parts(exec.label(), secs, interior, stats, kappa, timing.as_ref());
+    m.schedule = exec.temporal().then_some(spec.schedule);
     Ok(m)
 }
 
-/// Times `steps` LBM sweeps under the given variant (one of
-/// [`LBM_VARIANTS`]) on a lid-driven cavity of edge `n`, with warmup and
-/// repetitions per `cfg`. Zero blocking parameters surface as
-/// [`LbmError`] instead of panicking.
-///
-/// # Panics
-/// Panics on an unknown `variant` label.
-pub fn measure_lbm<T: Real>(
+/// Times `exec` on a D3Q19 lid-driven cavity of extent `spec.dim` under
+/// `cfg`. Traffic and κ are modeled ([`counters::lbm_traffic_and_kappa`]); invalid
+/// blocking surfaces as [`LbmError`] instead of panicking.
+pub fn measure_lbm(
     cfg: &BenchConfig,
-    variant: &'static str,
-    n: usize,
-    steps: usize,
-    tile: usize,
-    dim_t: usize,
-    team: Option<&ThreadTeam>,
+    exec: LbmExec,
+    spec: &Spec<'_>,
 ) -> Result<Measurement, LbmError> {
-    measure_lbm_scheduled::<T>(
-        cfg,
-        variant,
-        n,
-        steps,
-        tile,
-        dim_t,
-        team,
-        ScheduleKind::Lag35d,
-    )
+    match spec.precision {
+        Precision::Sp => measure_lbm_as::<f32>(cfg, exec, spec),
+        Precision::Dp => measure_lbm_as::<f64>(cfg, exec, spec),
+    }
 }
 
-/// [`measure_lbm`] with an explicit temporal-blocking schedule for the
-/// engine-backed variants (`temporal only`, `3.5D blocking`); the
-/// no-blocking variants ignore it.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_lbm_scheduled<T: Real>(
+fn measure_lbm_as<T: Real>(
     cfg: &BenchConfig,
-    variant: &'static str,
-    n: usize,
-    steps: usize,
-    tile: usize,
-    dim_t: usize,
-    team: Option<&ThreadTeam>,
-    schedule: ScheduleKind,
+    exec: LbmExec,
+    spec: &Spec<'_>,
 ) -> Result<Measurement, LbmError> {
-    /// D3Q19 propagation radius.
-    const R: usize = 1;
-    let dim = Dim3::cube(n);
-    let tile = tile.min(n);
-    let blocking = match variant {
-        "scalar no-blocking" | "simd no-blocking" => None,
-        "temporal only" => {
-            Some(LbmBlocking::try_new(n.max(1), n.max(1), dim_t)?.with_schedule(schedule))
-        }
-        "3.5D blocking" => Some(LbmBlocking::try_new(tile, tile, dim_t)?.with_schedule(schedule)),
-        other => panic!("unknown LBM variant {other}"),
-    };
-
-    let mut lat =
-        threefive_lbm::scenarios::lid_driven_cavity::<T>(dim, T::from_f64(1.2), T::from_f64(0.05));
-    let instrumented = blocking.is_some();
-    let threads = team.map_or(1, ThreadTeam::threads);
-    let instr = if instrumented {
-        Instrument::enabled(threads)
-    } else {
-        Instrument::disabled()
-    };
-    let obs = Observer::with_instrument(&instr);
-
-    let mut err: Option<LbmError> = None;
-    let (secs, _) = run_reps(cfg, |is_warmup| {
-        if !is_warmup && instr.is_enabled() {
-            instr.reset();
-        }
-        match (variant, blocking) {
-            ("scalar no-blocking", _) => lbm_naive_sweep(&mut lat, steps, LbmMode::Scalar, team),
-            ("simd no-blocking", _) => lbm_naive_sweep(&mut lat, steps, LbmMode::Simd, team),
-            (_, Some(b)) => match try_lbm35d_sweep(&mut lat, steps, b, team, None, &obs) {
-                Ok(updates) => updates,
-                Err(e) => {
-                    err.get_or_insert(e);
-                    0
-                }
-            },
-            _ => unreachable!("blocking validated above"),
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-
-    // The lattice executors do not carry SweepStats; model the traffic:
-    // each dim_T-chunk streams all 19 distribution planes in and out once
-    // (write-allocate folded into the write stream).
-    let q = threefive_lbm::model::Q as u64;
-    let e = T::BYTES as u64;
-    let chunks = match blocking {
-        Some(b) => steps.div_ceil(b.dim_t) as u64,
-        None => steps as u64,
-    };
-    let lattice_bytes = dim.len() as u64 * q * e;
-    let stats = SweepStats {
-        stencil_updates: 0,
-        committed_points: 0,
-        dram_bytes_read: lattice_bytes * chunks,
-        dram_bytes_written: lattice_bytes * chunks,
-    };
-    // Modeled κ for the blocked variants (the lattice executor does not
-    // count ghost recomputation, so there is no measured value).
-    let kappa = match blocking {
-        Some(b) => {
-            let loaded_x = b.dim_x.min(n) + 2 * R * b.dim_t;
-            let loaded_y = b.dim_y.min(n) + 2 * R * b.dim_t;
-            threefive_core::planner::kappa_35d(R, b.dim_t, loaded_x, loaded_y)
-        }
-        None => 1.0,
-    };
-    let interior = dim.interior_region(R).len() as u64 * steps as u64;
-    let timing = instr.timing();
-    let barrier_share = instrumented.then(|| timing.barrier_share());
-    let barrier_hist = instrumented.then_some(timing.wait_hist);
-    let mut m = Measurement::from_parts(
-        variant,
-        secs,
-        interior,
-        stats,
-        kappa,
-        barrier_share,
-        barrier_hist,
+    let mut lat = threefive_lbm::scenarios::lid_driven_cavity::<T>(
+        spec.dim,
+        T::from_f64(1.2),
+        T::from_f64(0.05),
     );
-    if blocking.is_some() {
-        m.schedule = Some(schedule);
-    }
+    let b = spec.lbm_blocking();
+    let (secs, _, timing) = time_reps(cfg, spec.team, exec.observed(), |obs| {
+        exec.sweep(&mut lat, spec.steps, b, Some(spec.team), None, obs)
+    })?;
+    let (stats, kappa) = counters::lbm_traffic_and_kappa(exec, spec);
+    // D3Q19 propagates one site: the bounce-back rim is not an update.
+    let interior = spec.dim.interior_region(1).len() as u64 * spec.steps as u64;
+    let mut m =
+        Measurement::from_parts(exec.label(), secs, interior, stats, kappa, timing.as_ref());
+    m.schedule = exec.temporal().then_some(spec.schedule);
     Ok(m)
 }
 
@@ -609,63 +454,86 @@ mod tests {
     #[test]
     fn stencil_mups_counts_interior_updates_only() {
         let n = 12usize;
-        let steps = 2usize;
         let cfg = BenchConfig { warmup: 1, reps: 2 };
-        let m = measure_seven_point::<f32>(&cfg, "3.5D blocking", Dim3::cube(n), steps, 8, 2, None)
-            .unwrap();
+        let team = ThreadTeam::new(1);
+        let m = measure_stencil(
+            &cfg,
+            StencilExec::Parallel35d,
+            &Spec::sp_cube(&team, n, 2, 8, 2),
+        )
+        .unwrap();
         // The denominator basis is interior points × steps, not n³ ×
         // steps: the Dirichlet rim is never updated.
-        let interior = (n - 2).pow(3) as u64 * steps as u64;
+        let interior = (n - 2).pow(3) as u64 * 2;
         assert_eq!(m.interior_updates, interior);
         assert_eq!(m.stats.committed_points, interior);
         let expected_mups = interior as f64 / m.median_secs() / 1e6;
         assert!((m.mups - expected_mups).abs() < 1e-9 * expected_mups.max(1.0));
         assert_eq!(m.secs.len(), 2);
         assert!(m.kappa >= 1.0, "measured κ {}", m.kappa);
-        assert!(m.barrier_share.is_some());
     }
 
     #[test]
     fn zero_dim_t_is_a_typed_error_not_a_panic() {
         let cfg = BenchConfig::quick();
-        let err = measure_seven_point::<f32>(&cfg, "3.5D blocking", Dim3::cube(8), 2, 4, 0, None)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::InvalidBlocking { dim_t: 0, .. }));
-        let err = measure_seven_point::<f32>(&cfg, "temporal only", Dim3::cube(8), 2, 4, 0, None)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::InvalidBlocking { dim_t: 0, .. }));
-        let err = measure_lbm::<f32>(&cfg, "3.5D blocking", 8, 2, 4, 0, None).unwrap_err();
+        let team = ThreadTeam::new(1);
+        let bad = Spec::sp_cube(&team, 8, 2, 4, 0);
+        for exec in [
+            StencilExec::Parallel35d,
+            StencilExec::Temporal,
+            StencilExec::Blocked4d,
+        ] {
+            let err = measure_stencil(&cfg, exec, &bad).unwrap_err();
+            assert!(
+                matches!(err, ExecError::InvalidBlocking { dim_t: 0, .. }),
+                "{exec:?}"
+            );
+        }
+        let err = measure_lbm(&cfg, LbmExec::Blocked35d, &bad).unwrap_err();
         assert!(matches!(err, LbmError::InvalidBlocking { dim_t: 0, .. }));
     }
 
     #[test]
     fn lbm_measurement_reports_modeled_traffic_and_kappa() {
         let cfg = BenchConfig::quick();
-        let m = measure_lbm::<f32>(&cfg, "3.5D blocking", 10, 2, 6, 2, None).unwrap();
+        let team = ThreadTeam::new(1);
+        let m = measure_lbm(
+            &cfg,
+            LbmExec::Blocked35d,
+            &Spec::sp_cube(&team, 10, 2, 6, 2),
+        )
+        .unwrap();
         assert_eq!(m.interior_updates, 8u64.pow(3) * 2);
         assert!(m.kappa > 1.0);
         assert!(m.stats.dram_bytes() > 0);
-        assert!(m.barrier_share.is_some());
-        let naive = measure_lbm::<f32>(&cfg, "simd no-blocking", 10, 2, 6, 2, None).unwrap();
+        let naive =
+            measure_lbm(&cfg, LbmExec::NaiveSimd, &Spec::sp_cube(&team, 10, 2, 6, 2)).unwrap();
         assert_eq!(naive.kappa, 1.0);
-        assert!(naive.barrier_share.is_none());
         // Blocked traffic model: half the chunks of the naive sweep.
         assert_eq!(naive.stats.dram_bytes(), 2 * m.stats.dram_bytes());
     }
 
+    /// Every registry rung measures, reports barrier timing exactly when
+    /// it runs observed, and carries a schedule exactly when temporal.
     #[test]
-    fn every_listed_variant_measures() {
+    fn every_rung_measures_and_reports_what_it_ran() {
         let cfg = BenchConfig { warmup: 0, reps: 1 };
         let team = ThreadTeam::new(2);
-        for v in STENCIL_VARIANTS {
-            let m = measure_seven_point::<f32>(&cfg, v, Dim3::cube(10), 2, 6, 2, Some(&team))
-                .unwrap_or_else(|e| panic!("{v}: {e}"));
-            assert!(m.mups > 0.0, "{v}");
+        for exec in StencilExec::ALL {
+            let m = measure_stencil(&cfg, exec, &Spec::sp_cube(&team, 10, 2, 6, 2))
+                .unwrap_or_else(|e| panic!("{exec:?}: {e}"));
+            assert!(m.mups > 0.0, "{exec:?}");
+            assert_eq!(m.label, exec.label());
+            assert_eq!(m.barrier_share.is_some(), exec.observed(), "{exec:?}");
+            assert_eq!(m.schedule.is_some(), exec.temporal(), "{exec:?}");
         }
-        for v in LBM_VARIANTS {
-            let m = measure_lbm::<f32>(&cfg, v, 8, 1, 4, 1, Some(&team))
-                .unwrap_or_else(|e| panic!("{v}: {e}"));
-            assert!(m.mups > 0.0, "{v}");
+        for exec in LbmExec::ALL {
+            let m = measure_lbm(&cfg, exec, &Spec::sp_cube(&team, 8, 2, 4, 1))
+                .unwrap_or_else(|e| panic!("{exec:?}: {e}"));
+            assert!(m.mups > 0.0, "{exec:?}");
+            assert_eq!(m.label, exec.label());
+            assert_eq!(m.barrier_share.is_some(), exec.observed(), "{exec:?}");
+            assert_eq!(m.schedule.is_some(), exec.temporal(), "{exec:?}");
         }
     }
 }

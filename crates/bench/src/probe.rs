@@ -1,19 +1,9 @@
-//! Short timed probes for the autotuner.
+//! The kernel key of the autotuner's probes.
 //!
-//! A probe is one tiny bench run — the same warmup + median machinery as
-//! `threefive bench`, but with a caller-chosen (tile, dim_T, threads)
-//! candidate and a budget-sized grid/step count. The tuner in
-//! `crates/tune` hill-climbs over candidates by comparing probe MUPS;
-//! keeping the entry points here means the tuner measures through
-//! exactly the code path the real benchmarks use, so a tuned winner's
-//! probe numbers and its eventual `threefive bench` numbers come from
-//! the same harness.
-
-use threefive_core::exec::ScheduleKind;
-use threefive_grid::Dim3;
-
-use crate::{measure_lbm_scheduled, measure_seven_point_scheduled, BenchConfig, Measurement};
-use threefive_sync::ThreadTeam;
+//! A probe is one tiny bench run: the tuner in `crates/tune` times its
+//! candidates through [`measure_stencil`](crate::measure_stencil) and
+//! [`measure_lbm`](crate::measure_lbm), so a tuned winner's probe numbers
+//! and its eventual `threefive bench` numbers come from the same harness.
 
 /// Which kernel a probe exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -43,142 +33,9 @@ impl ProbeWorkload {
     }
 }
 
-/// One fully-specified probe: workload, problem size, and the blocking
-/// candidate to time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProbeSpec {
-    /// Kernel to time.
-    pub workload: ProbeWorkload,
-    /// Cubic grid edge.
-    pub n: usize,
-    /// Time steps per repetition.
-    pub steps: usize,
-    /// Block edge (dimX = dimY = tile).
-    pub tile: usize,
-    /// Temporal depth dim_T.
-    pub dim_t: usize,
-    /// Team size.
-    pub threads: usize,
-    /// Double precision when true, single otherwise.
-    pub dp: bool,
-    /// Temporal-blocking schedule the blocked variant runs under.
-    pub schedule: ScheduleKind,
-}
-
-fn run_variant(
-    spec: &ProbeSpec,
-    cfg: &BenchConfig,
-    variant: &'static str,
-) -> Result<Measurement, String> {
-    let team = (spec.threads > 1).then(|| ThreadTeam::new(spec.threads));
-    match spec.workload {
-        ProbeWorkload::Stencil => {
-            let dim = Dim3::cube(spec.n);
-            if spec.dp {
-                measure_seven_point_scheduled::<f64>(
-                    cfg,
-                    variant,
-                    dim,
-                    spec.steps,
-                    spec.tile,
-                    spec.dim_t,
-                    team.as_ref(),
-                    spec.schedule,
-                )
-            } else {
-                measure_seven_point_scheduled::<f32>(
-                    cfg,
-                    variant,
-                    dim,
-                    spec.steps,
-                    spec.tile,
-                    spec.dim_t,
-                    team.as_ref(),
-                    spec.schedule,
-                )
-            }
-            .map_err(|e| format!("probe {variant} n={} failed: {e}", spec.n))
-        }
-        ProbeWorkload::Lbm => if spec.dp {
-            measure_lbm_scheduled::<f64>(
-                cfg,
-                variant,
-                spec.n,
-                spec.steps,
-                spec.tile,
-                spec.dim_t,
-                team.as_ref(),
-                spec.schedule,
-            )
-        } else {
-            measure_lbm_scheduled::<f32>(
-                cfg,
-                variant,
-                spec.n,
-                spec.steps,
-                spec.tile,
-                spec.dim_t,
-                team.as_ref(),
-                spec.schedule,
-            )
-        }
-        .map_err(|e| format!("probe {variant} n={} failed: {e}", spec.n)),
-    }
-}
-
-/// Times the 3.5-D blocked variant for `spec`.
-pub fn probe_candidate(cfg: &BenchConfig, spec: &ProbeSpec) -> Result<Measurement, String> {
-    run_variant(spec, cfg, "3.5D blocking")
-}
-
-/// Times the scalar reference for `spec` (blocking fields ignored).
-/// This is the floor every persisted tuning winner must beat.
-pub fn probe_scalar(cfg: &BenchConfig, spec: &ProbeSpec) -> Result<Measurement, String> {
-    let scalar = ProbeSpec {
-        tile: spec.n,
-        dim_t: 1,
-        threads: 1,
-        ..*spec
-    };
-    let variant = match spec.workload {
-        ProbeWorkload::Stencil => "scalar",
-        ProbeWorkload::Lbm => "scalar no-blocking",
-    };
-    run_variant(&scalar, cfg, variant)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec(workload: ProbeWorkload) -> ProbeSpec {
-        ProbeSpec {
-            workload,
-            n: 12,
-            steps: 2,
-            tile: 8,
-            dim_t: 2,
-            threads: 1,
-            dp: false,
-            schedule: ScheduleKind::Lag35d,
-        }
-    }
-
-    #[test]
-    fn every_schedule_probes_nonzero_throughput() {
-        let cfg = BenchConfig::quick();
-        for workload in [ProbeWorkload::Stencil, ProbeWorkload::Lbm] {
-            for schedule in ScheduleKind::ALL {
-                let s = ProbeSpec {
-                    schedule,
-                    ..spec(workload)
-                };
-                let m = probe_candidate(&cfg, &s).unwrap();
-                assert!(m.mups > 0.0, "{workload:?} {schedule}");
-                assert_eq!(m.schedule, Some(schedule));
-            }
-        }
-    }
 
     #[test]
     fn kernel_names_round_trip() {
@@ -186,33 +43,5 @@ mod tests {
             assert_eq!(ProbeWorkload::parse(w.kernel_name()), Some(w));
         }
         assert_eq!(ProbeWorkload::parse("27pt"), None);
-    }
-
-    #[test]
-    fn stencil_probe_measures_nonzero_throughput() {
-        let cfg = BenchConfig::quick();
-        let m = probe_candidate(&cfg, &spec(ProbeWorkload::Stencil)).unwrap();
-        assert!(m.mups > 0.0, "{}", m.mups);
-        let s = probe_scalar(&cfg, &spec(ProbeWorkload::Stencil)).unwrap();
-        assert!(s.mups > 0.0, "{}", s.mups);
-        assert_eq!(s.label, "scalar");
-    }
-
-    #[test]
-    fn lbm_probe_measures_nonzero_throughput() {
-        let cfg = BenchConfig::quick();
-        let m = probe_candidate(&cfg, &spec(ProbeWorkload::Lbm)).unwrap();
-        assert!(m.mups > 0.0, "{}", m.mups);
-        let s = probe_scalar(&cfg, &spec(ProbeWorkload::Lbm)).unwrap();
-        assert!(s.mups > 0.0, "{}", s.mups);
-        assert_eq!(s.label, "scalar no-blocking");
-    }
-
-    #[test]
-    fn invalid_candidates_error_instead_of_panicking() {
-        let cfg = BenchConfig::quick();
-        let mut bad = spec(ProbeWorkload::Stencil);
-        bad.dim_t = 0;
-        assert!(probe_candidate(&cfg, &bad).is_err());
     }
 }

@@ -5,18 +5,8 @@
 //! All executors compute **identical results** (bit-exact, because kernels
 //! fix their association order); they differ only in traversal order,
 //! buffering, temporal blocking and parallelism — which is exactly what
-//! the paper's figures compare.
-//!
-//! | Executor | Paper label |
-//! |---|---|
-//! | [`reference_sweep`] | no-blocking, scalar |
-//! | [`simd_sweep`] | no-blocking (+SIMD) |
-//! | [`blocked3d_sweep`] | 3-D spatial blocking |
-//! | [`blocked25d_sweep`] | spatial-only (2.5-D) blocking |
-//! | [`temporal_sweep`] | temporal-only blocking |
-//! | [`blocked4d_sweep`] | 4-D (3-D space + time) blocking |
-//! | [`blocked35d_sweep`] | 3.5-D blocking, serial |
-//! | [`parallel35d_sweep`] | 3.5-D blocking, parallel |
+//! the paper's figures compare. [`StencilExec`] names every rung, maps it
+//! to its executor and paper label, and is the one way callers run them.
 
 mod blocked25d;
 mod blocked3d;
@@ -25,6 +15,7 @@ pub mod engine35;
 mod periodic;
 mod pipeline35;
 mod reference;
+mod registry;
 pub mod schedule;
 mod tile_parallel;
 
@@ -38,6 +29,7 @@ pub use engine35::{
 pub use periodic::{periodic35d_sweep, reference_sweep_periodic, wrap_extend};
 pub use pipeline35::{blocked35d_sweep, parallel35d_sweep, temporal_sweep, try_parallel35d_sweep};
 pub use reference::{reference_sweep, simd_sweep};
+pub use registry::StencilExec;
 pub use schedule::{
     Lag35, Schedule, ScheduleKind, WavefrontDiamond, WavefrontShared, DIAMOND_SPAN,
 };

@@ -8,7 +8,8 @@
 //! ring set *per thread* (threads × the cache budget of Eq. 1), and when
 //! the tile count isn't a multiple of the thread count the tail imbalance
 //! wastes whole tile-times. This executor exists so the trade-off can be
-//! measured (`cargo bench -p threefive-bench --bench scheduling`).
+//! measured: `threefive bench` reports it as the "tile 3.5D" row next to
+//! the row-parallel "3.5D blocking" row.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -15,16 +15,9 @@
 //!   arbitrary radius used to exercise the machinery at `R > 1`.
 //! * [`planner`] — Eqs. 1–4 and all overestimation (κ) formulas for 3-D,
 //!   2.5-D, 4-D and 3.5-D blocking.
-//! * [`exec`] — the executor ladder, every rung verified against the
-//!   reference sweep:
-//!   1. [`exec::reference_sweep`] — scalar ground truth;
-//!   2. [`exec::simd_sweep`] — DLP only (no blocking);
-//!   3. [`exec::blocked3d_sweep`] — classic 3-D spatial blocking;
-//!   4. [`exec::blocked25d_sweep`] — 2.5-D spatial blocking (§V-A3);
-//!   5. [`exec::temporal_sweep`] — temporal-only blocking (Habich-style);
-//!   6. [`exec::blocked4d_sweep`] — 4-D (3-D space + time) baseline;
-//!   7. [`exec::blocked35d_sweep`] — serial 3.5-D pipeline (§V-E);
-//!   8. [`exec::parallel35d_sweep`] — the full parallel 3.5-D executor.
+//! * [`exec`] — the executor ladder from the scalar reference to the
+//!   parallel 3.5-D pipeline; [`exec::StencilExec`] lists every rung, and
+//!   each is verified bit-exact against the reference sweep.
 //! * [`stats`] — analytic DRAM-traffic/op accounting per executor, used by
 //!   the machine-model figures.
 //!

@@ -26,10 +26,12 @@ mod lattice;
 pub mod model;
 pub mod periodic;
 mod pipeline;
+mod registry;
 pub mod scenarios;
 mod step;
 
 pub use lattice::{Lattice, Macroscopic};
 pub use periodic::{lbm_periodic_reference, lbm_periodic_sweep, periodic_lattice};
 pub use pipeline::{lbm35d_sweep, lbm_temporal_sweep, try_lbm35d_sweep, LbmBlocking, LbmError};
+pub use registry::LbmExec;
 pub use step::{lbm_naive_sweep, LbmMode};

@@ -13,7 +13,7 @@
 //! 2. [`search::hill_climb`] walks (tile, dim_T, threads, schedule)
 //!    neighbors with
 //!    short timed probes through the `threefive-bench` harness
-//!    ([`threefive_bench::probe`]), under a probe/deadline budget, with
+//!    ([`search::BenchProber`]), under a probe/deadline budget, with
 //!    a monotonic best-so-far invariant;
 //! 3. winners are persisted in a schema-versioned `TUNE.json`
 //!    ([`db::TuneDb`]) keyed by (host fingerprint, kernel, precision,

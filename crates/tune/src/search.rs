@@ -14,13 +14,16 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use threefive_analyze::schedule::{check_schedule, ScheduleConfig, ScheduleModel};
-use threefive_bench::probe::{probe_candidate, probe_scalar, ProbeSpec, ProbeWorkload};
-use threefive_bench::BenchConfig;
+use threefive_bench::probe::ProbeWorkload;
+use threefive_bench::{measure_lbm, measure_stencil, BenchConfig, Spec};
 use threefive_cachesim::trace::blocked35d_trace;
 use threefive_cachesim::CacheSim;
-use threefive_core::exec::ScheduleKind;
+use threefive_core::exec::{ScheduleKind, StencilExec};
 use threefive_core::planner::candidate_plans;
 use threefive_grid::Dim3;
+use threefive_lbm::LbmExec;
+use threefive_machine::Precision;
+use threefive_sync::ThreadTeam;
 
 /// One point of the search space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,28 +56,38 @@ pub struct BenchProber {
     pub n: usize,
     /// Time steps per probe repetition.
     pub steps: usize,
-    /// Double precision when true.
-    pub dp: bool,
+    /// Element precision.
+    pub precision: Precision,
 }
 
 impl BenchProber {
-    fn spec(&self, c: &Candidate) -> ProbeSpec {
-        ProbeSpec {
-            workload: self.workload,
-            n: self.n,
+    /// Times `stencil` or `lbm` (whichever the workload names) at `c`.
+    fn probe(&self, stencil: StencilExec, lbm: LbmExec, c: &Candidate) -> Result<f64, String> {
+        let team = ThreadTeam::new(c.threads);
+        let spec = Spec {
+            precision: self.precision,
+            dim: Dim3::cube(self.n),
             steps: self.steps,
             tile: c.tile,
             dim_t: c.dim_t,
-            threads: c.threads,
-            dp: self.dp,
             schedule: c.schedule,
-        }
+            team: &team,
+        };
+        let measured = match self.workload {
+            ProbeWorkload::Stencil => {
+                measure_stencil(&self.cfg, stencil, &spec).map_err(|e| e.to_string())
+            }
+            ProbeWorkload::Lbm => measure_lbm(&self.cfg, lbm, &spec).map_err(|e| e.to_string()),
+        };
+        measured
+            .map(|m| m.mups)
+            .map_err(|e| format!("probe {c:?} n={} failed: {e}", self.n))
     }
 }
 
 impl Prober for BenchProber {
     fn probe_blocked(&mut self, c: &Candidate) -> Result<f64, String> {
-        probe_candidate(&self.cfg, &self.spec(c)).map(|m| m.mups)
+        self.probe(StencilExec::Parallel35d, LbmExec::Blocked35d, c)
     }
 
     fn probe_scalar(&mut self) -> Result<f64, String> {
@@ -84,7 +97,7 @@ impl Prober for BenchProber {
             threads: 1,
             schedule: ScheduleKind::Lag35d,
         };
-        probe_scalar(&self.cfg, &self.spec(&c)).map(|m| m.mups)
+        self.probe(StencilExec::Reference, LbmExec::NaiveScalar, &c)
     }
 }
 
@@ -499,6 +512,32 @@ mod tests {
         let out = hill_climb(&space, &seeds, &mut p, &ProbeBudget::default()).unwrap();
         assert!(out.winner.is_some());
         assert!(out.history.iter().all(|&(c, _)| c != seeds[0]));
+    }
+
+    /// The production prober times real sweeps through the bench
+    /// harness: every schedule of both kernels and the scalar floor
+    /// measure, and an invalid candidate is an error, not a panic.
+    #[test]
+    fn bench_prober_measures_every_schedule_and_the_floor() {
+        for workload in [ProbeWorkload::Stencil, ProbeWorkload::Lbm] {
+            let mut p = BenchProber {
+                cfg: BenchConfig::quick(),
+                workload,
+                n: 12,
+                steps: 2,
+                precision: Precision::Sp,
+            };
+            for schedule in ScheduleKind::ALL {
+                let c = Candidate {
+                    schedule,
+                    ..cand(8, 2, 1)
+                };
+                let mups = p.probe_blocked(&c).unwrap();
+                assert!(mups > 0.0, "{workload:?} {schedule}");
+            }
+            assert!(p.probe_scalar().unwrap() > 0.0, "{workload:?}");
+            assert!(p.probe_blocked(&cand(8, 0, 1)).is_err(), "{workload:?}");
+        }
     }
 
     #[test]

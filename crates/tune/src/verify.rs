@@ -11,10 +11,10 @@
 //! subsequent run.
 
 use threefive_bench::probe::ProbeWorkload;
-use threefive_core::exec::{reference_sweep, try_parallel35d_sweep, Blocking35};
+use threefive_core::exec::{reference_sweep, Blocking35, StencilExec};
 use threefive_core::{SevenPoint, StencilKernel};
 use threefive_grid::{Dim3, DoubleGrid, Grid3, Real};
-use threefive_lbm::{lbm_naive_sweep, try_lbm35d_sweep, LbmBlocking, LbmMode};
+use threefive_lbm::{lbm_naive_sweep, LbmBlocking, LbmExec, LbmMode};
 use threefive_sync::{Observer, ThreadTeam};
 
 use crate::search::Candidate;
@@ -77,21 +77,14 @@ where
     let mut tuned = DoubleGrid::from_initial(stencil_initial::<T>(dim));
     let team = ThreadTeam::new(c.threads);
     let b = Blocking35 {
-        dim_x: c.tile.min(n),
-        dim_y: c.tile.min(n),
+        dim_x: c.tile,
+        dim_y: c.tile,
         dim_t: c.dim_t,
         schedule: c.schedule,
     };
-    try_parallel35d_sweep(
-        &kernel,
-        &mut tuned,
-        steps,
-        b,
-        &team,
-        None,
-        &Observer::disabled(),
-    )
-    .map_err(|e| format!("candidate {c:?} failed to execute: {e}"))?;
+    StencilExec::Parallel35d
+        .sweep(&kernel, &mut tuned, steps, b, &team, &Observer::disabled())
+        .map_err(|e| format!("candidate {c:?} failed to execute: {e}"))?;
 
     let want = reference.src().as_slice();
     let got = tuned.src().as_slice();
@@ -116,18 +109,22 @@ fn verify_lbm<T: Real>(n: usize, steps: usize, c: &Candidate) -> Result<(), Stri
 
     let mut tuned = threefive_lbm::scenarios::lid_driven_cavity::<T>(dim, omega, u_lid);
     let team = ThreadTeam::new(c.threads);
-    let b = LbmBlocking::try_new(c.tile.min(n), c.tile.min(n), c.dim_t)
-        .map_err(|e| format!("candidate {c:?} has invalid blocking: {e}"))?
-        .with_schedule(c.schedule);
-    try_lbm35d_sweep(
-        &mut tuned,
-        steps,
-        b,
-        Some(&team),
-        None,
-        &Observer::disabled(),
-    )
-    .map_err(|e| format!("candidate {c:?} failed to execute: {e}"))?;
+    let b = LbmBlocking {
+        dim_x: c.tile,
+        dim_y: c.tile,
+        dim_t: c.dim_t,
+        schedule: c.schedule,
+    };
+    LbmExec::Blocked35d
+        .sweep(
+            &mut tuned,
+            steps,
+            b,
+            Some(&team),
+            None,
+            &Observer::disabled(),
+        )
+        .map_err(|e| format!("candidate {c:?} failed to execute: {e}"))?;
 
     for q in 0..threefive_lbm::model::Q {
         let want = reference.src().comp(q);

@@ -21,22 +21,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use threefive::analyze::findings::AnalyzeReport;
-use threefive::bench::counters::{lbm_telemetry, stencil_telemetry, Telemetry};
+use threefive::bench::counters::{
+    lbm_telemetry, lbm_traffic_and_kappa, stencil_telemetry, Telemetry,
+};
 use threefive::bench::perfetto::{trace_to_chrome_json, validate_trace_str};
 use threefive::bench::probe::ProbeWorkload;
 use threefive::bench::report::{BenchEntry, BenchReport, HostInfo};
 use threefive::bench::service::ServiceReport;
-use threefive::bench::{
-    measure_lbm_scheduled, measure_seven_point_scheduled, stencil_variant_uses_team, BenchConfig,
-    Measurement, LBM_VARIANTS, STENCIL_VARIANTS,
-};
+use threefive::bench::{measure_lbm, measure_stencil, BenchConfig, Measurement, Spec};
 use threefive::cli::{self, CliError};
+use threefive::core::exec::StencilExec;
 use threefive::gpu::kernels::{
     naive_sweep as gpu_naive, pipelined35_sweep, spatial_sweep, Pipe35Config, SevenPointGpu,
 };
 use threefive::gpu::timing::throughput_gtx285;
 use threefive::gpu::Device;
-use threefive::lbm::{scenarios, LbmError};
+use threefive::lbm::{scenarios, LbmError, LbmExec};
 use threefive::loadgen::{run_loadgen, LoadgenConfig, WorkloadMix};
 use threefive::machine::fermi;
 use threefive::machine::roofline::{GPU_ALU_EFF, GPU_ALU_EFF_TUNED};
@@ -164,18 +164,20 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn usage() {
+    let stencil_variants = StencilExec::ALL.map(StencilExec::cli_name).join("|");
+    let lbm_variants = LbmExec::ALL.map(LbmExec::cli_name).join("|");
     eprintln!(
         "threefive — 3.5-D blocking for stencil computations (SC 2010 reproduction)
 
 USAGE:
   threefive plan  --kernel 7pt|27pt|lbm --machine i7|gtx285|fermi
                   [--precision sp|dp] [--cache BYTES]
-  threefive run   --variant ref|simd|25d|3d|4d|temporal|35d|tile35
+  threefive run   --variant {stencil_variants}
                   [--n 128] [--steps 8] [--tile T] [--dimt K] [--threads N]
                   [--schedule lag35d|wavefront|diamond]
                   [--reps R] [--warmup W] [--precision sp|dp] [--db TUNE.json]
   threefive lbm   --scenario box|cavity|channel
-                  --variant scalar|simd|temporal|35d
+                  --variant {lbm_variants}
                   [--n 48] [--steps 60] [--tile T] [--dimt K] [--threads N]
                   [--schedule lag35d|wavefront|diamond]
                   [--timing] [--trace] [--out DIR] [--deadline MS]
@@ -218,6 +220,21 @@ USAGE:
 
 fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+/// The `--variant` names of the registry rungs `all` that satisfy
+/// `keep`, listed as "a, b or c" for an error message.
+fn variant_names<E: Copy>(all: &[E], name: fn(E) -> &'static str, keep: fn(E) -> bool) -> String {
+    let names: Vec<&str> = all.iter().copied().filter(|&e| keep(e)).map(name).collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => names.join(""),
+    }
+}
+
+fn unknown_variant<E: Copy>(variant: &str, all: &[E], name: fn(E) -> &'static str) -> CmdError {
+    let expected = variant_names(all, name, |_| true);
+    CmdError::Msg(format!("unknown variant '{variant}' (expected {expected})"))
 }
 
 /// Parses `--schedule` into a temporal-blocking schedule; defaults to the
@@ -360,25 +377,6 @@ fn cmd_plan(opts: &Opts) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// Maps a `run` CLI variant name to the bench harness's ladder label.
-fn stencil_label(variant: &str) -> Result<&'static str, CmdError> {
-    Ok(match variant {
-        "ref" => "scalar",
-        "simd" => "simd no-blocking",
-        "25d" => "spatial only",
-        "3d" => "3D blocking",
-        "4d" => "4D blocking",
-        "temporal" => "temporal only",
-        "35d" => "3.5D blocking",
-        "tile35" => "tile 3.5D",
-        other => {
-            return Err(CmdError::Msg(format!(
-            "unknown variant '{other}' (expected ref, simd, 25d, 3d, 4d, temporal, 35d or tile35)"
-        )))
-        }
-    })
-}
-
 fn cmd_run(opts: &Opts) -> Result<(), CmdError> {
     let n: usize = cli::get(opts, "n", 128)?;
     let steps: usize = cli::get(opts, "steps", 8)?;
@@ -387,8 +385,10 @@ fn cmd_run(opts: &Opts) -> Result<(), CmdError> {
         reps: cli::get(opts, "reps", 1)?,
     };
     let variant = cli::getstr(opts, "variant", "35d");
-    let label = stencil_label(&variant)?;
+    let exec = StencilExec::parse(&variant)
+        .ok_or_else(|| unknown_variant(&variant, &StencilExec::ALL, StencilExec::cli_name))?;
     let dp = cli::getstr(opts, "precision", "sp") == "dp";
+    let precision = if dp { Precision::Dp } else { Precision::Sp };
     // Blocking parameters: explicit flags beat the tuner database beats
     // the analytical defaults.
     let tuned = tuned_lookup(opts, "7pt", dp, n)?;
@@ -406,49 +406,40 @@ fn cmd_run(opts: &Opts) -> Result<(), CmdError> {
     };
     // A single-threaded variant reports one thread — whatever the host or
     // the tuner database would have picked — and refuses to be told more.
-    let threads = if !stencil_variant_uses_team(label) {
-        if cli::get(opts, "threads", 1usize)? > 1 {
-            return Err(CmdError::Msg(format!(
-                "--threads requires a variant that runs on a thread team \
-                 (temporal, 35d or tile35), not '{variant}', which is single-threaded"
-            )));
-        }
-        1
-    } else {
+    let threads = if exec.uses_team() {
         threads
+    } else if cli::get(opts, "threads", 1usize)? > 1 {
+        return Err(CmdError::Msg(format!(
+            "--threads requires a variant that runs on a thread team ({}), not '{variant}', \
+             which is single-threaded",
+            variant_names(
+                &StencilExec::ALL,
+                StencilExec::cli_name,
+                StencilExec::uses_team
+            )
+        )));
+    } else {
+        1
     };
     let dim = Dim3::cube(n);
     let team = ThreadTeam::new(threads);
-    // Blocking parameters come straight from the user; the harness routes
+    // Blocking parameters come straight from the user; the registry routes
     // them through `Blocking35::try_new`, so `--dimt 0` is a diagnosed
     // error, not a panic.
-    let m = if dp {
-        measure_seven_point_scheduled::<f64>(
-            &cfg,
-            label,
-            dim,
-            steps,
-            tile,
-            dim_t,
-            Some(&team),
-            schedule,
-        )?
-    } else {
-        measure_seven_point_scheduled::<f32>(
-            &cfg,
-            label,
-            dim,
-            steps,
-            tile,
-            dim_t,
-            Some(&team),
-            schedule,
-        )?
+    let spec = Spec {
+        precision,
+        dim,
+        steps,
+        tile,
+        dim_t,
+        schedule,
+        team: &team,
     };
+    let m = measure_stencil(&cfg, exec, &spec)?;
     println!(
         "7-point {} on {dim}, {steps} steps, variant {variant}, schedule {schedule}, \
          {threads} thread(s)",
-        if dp { "DP" } else { "SP" }
+        precision.label()
     );
     println!(
         "  {:.3} s median ({} timed rep(s) after {} warmup), {:.1} interior Mupdates/s",
@@ -489,19 +480,15 @@ fn cmd_lbm(opts: &Opts) -> Result<(), CmdError> {
     };
     let team = ThreadTeam::new(threads);
     let variant = cli::getstr(opts, "variant", "35d");
+    let exec = LbmExec::parse(&variant)
+        .ok_or_else(|| unknown_variant(&variant, &LbmExec::ALL, LbmExec::cli_name))?;
     let schedule = parse_schedule(opts)?;
-    // Validate user-supplied blocking before any executor can panic.
-    let blocking = match variant.as_str() {
-        "scalar" | "simd" => None,
-        "temporal" => {
-            Some(LbmBlocking::try_new(n.max(1), n.max(1), dim_t)?.with_schedule(schedule))
-        }
-        "35d" => Some(LbmBlocking::try_new(tile, tile, dim_t)?.with_schedule(schedule)),
-        other => {
-            return Err(CmdError::Msg(format!(
-                "unknown variant '{other}' (expected scalar, simd, temporal or 35d)"
-            )))
-        }
+    // The registry validates this blocking before any executor can panic.
+    let blocking = LbmBlocking {
+        dim_x: tile,
+        dim_y: tile,
+        dim_t,
+        schedule,
     };
     // Observability, same knobs as `threefive trace`: `--timing` prints the
     // per-thread barrier-wait share, `--trace` additionally exports a
@@ -511,10 +498,10 @@ fn cmd_lbm(opts: &Opts) -> Result<(), CmdError> {
     let trace: bool = cli::get(opts, "trace", false)?;
     let deadline_ms: u64 = cli::get(opts, "deadline", 0)?;
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    if (timing || trace || deadline.is_some()) && blocking.is_none() {
+    if (timing || trace || deadline.is_some()) && !exec.observed() {
         return Err(CmdError::Msg(format!(
-            "--timing/--trace/--deadline require a 3.5-D variant (temporal or 35d), \
-             not '{variant}'"
+            "--timing/--trace/--deadline require a 3.5-D variant ({}), not '{variant}'",
+            variant_names(&LbmExec::ALL, LbmExec::cli_name, LbmExec::observed)
         )));
     }
     let instr = if timing || trace {
@@ -528,31 +515,8 @@ fn cmd_lbm(opts: &Opts) -> Result<(), CmdError> {
         Tracer::disabled()
     };
     let obs = Observer::new(&instr, &tracer);
-    let sweep = |lat: &mut Lattice<f64>, s: usize, obs: &Observer<'_>| -> Result<(), CmdError> {
-        match variant.as_str() {
-            "scalar" => {
-                lbm_naive_sweep(lat, s, LbmMode::Scalar, Some(&team));
-            }
-            "simd" => {
-                lbm_naive_sweep(lat, s, LbmMode::Simd, Some(&team));
-            }
-            // `temporal` is the whole-plane special case of the same
-            // blocking, so both 3.5-D variants share one entry point.
-            "temporal" | "35d" => {
-                let Some(b) = blocking else {
-                    return Err(CmdError::Msg(format!(
-                        "internal: no blocking constructed for 3.5-D variant '{variant}'"
-                    )));
-                };
-                try_lbm35d_sweep(lat, s, b, Some(&team), deadline, obs)?;
-            }
-            other => {
-                return Err(CmdError::Msg(format!(
-                    "internal: variant '{other}' escaped validation"
-                )))
-            }
-        }
-        Ok(())
+    let sweep = |lat: &mut Lattice<f64>, s: usize, obs: &Observer<'_>| {
+        exec.sweep(lat, s, blocking, Some(&team), deadline, obs)
     };
     // The first step is run untimed: it absorbs the first-touch page
     // faults on the never-written destination buffer without changing the
@@ -611,24 +575,16 @@ fn cmd_lbm(opts: &Opts) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn bench_entry(
-    m: &Measurement,
-    precision: &str,
-    grid: [usize; 3],
-    steps: usize,
-    threads: usize,
-    cfg: &BenchConfig,
-    telemetry: Option<Telemetry>,
-) -> BenchEntry {
+fn bench_entry(m: &Measurement, spec: &Spec<'_>, cfg: &BenchConfig, tel: Telemetry) -> BenchEntry {
     BenchEntry {
         variant: m.label.to_string(),
         schedule: m
             .schedule
             .map_or_else(|| "none".to_string(), |s| s.as_str().to_string()),
-        precision: precision.to_string(),
-        grid,
-        steps,
-        threads,
+        precision: spec.precision.label().to_lowercase(),
+        grid: [spec.dim.nx, spec.dim.ny, spec.dim.nz],
+        steps: spec.steps,
+        threads: spec.team.threads(),
         warmup: cfg.warmup,
         reps: cfg.reps.max(1),
         median_secs: m.median_secs(),
@@ -639,7 +595,7 @@ fn bench_entry(
         modeled_dram_bytes: m.stats.dram_bytes(),
         kappa: m.kappa,
         barrier_share: m.barrier_share,
-        telemetry,
+        telemetry: Some(tel),
     }
 }
 
@@ -716,10 +672,10 @@ fn cmd_bench(opts: &Opts) -> Result<(), CmdError> {
         }
         None => (tile, dim_t, flag_schedule),
     };
-    let precisions: &[&str] = match cli::getstr(opts, "precision", "sp").as_str() {
-        "sp" => &["sp"],
-        "dp" => &["dp"],
-        "both" => &["sp", "dp"],
+    let precisions: &[Precision] = match cli::getstr(opts, "precision", "sp").as_str() {
+        "sp" => &[Precision::Sp],
+        "dp" => &[Precision::Dp],
+        "both" => &[Precision::Sp, Precision::Dp],
         other => {
             return Err(CmdError::Msg(format!(
                 "unknown precision '{other}' (expected sp, dp or both)"
@@ -728,7 +684,6 @@ fn cmd_bench(opts: &Opts) -> Result<(), CmdError> {
     };
     let out_dir = std::path::PathBuf::from(cli::getstr(opts, "out", "."));
     let dim = Dim3::cube(n);
-    let grid = [dim.nx, dim.ny, dim.nz];
     let team = ThreadTeam::new(threads);
 
     println!(
@@ -740,38 +695,19 @@ fn cmd_bench(opts: &Opts) -> Result<(), CmdError> {
 
     let mut stencil = BenchReport::new("stencil");
     println!("\n7-point stencil:");
-    for &prec in precisions {
-        let p = if prec == "dp" {
-            Precision::Dp
-        } else {
-            Precision::Sp
+    for &precision in precisions {
+        let spec = Spec {
+            precision,
+            dim,
+            steps,
+            tile: stencil_tile,
+            dim_t: stencil_dim_t,
+            schedule: stencil_sched,
+            team: &team,
         };
-        for &variant in STENCIL_VARIANTS {
-            let m = if prec == "dp" {
-                measure_seven_point_scheduled::<f64>(
-                    &cfg,
-                    variant,
-                    dim,
-                    steps,
-                    stencil_tile,
-                    stencil_dim_t,
-                    Some(&team),
-                    stencil_sched,
-                )?
-            } else {
-                measure_seven_point_scheduled::<f32>(
-                    &cfg,
-                    variant,
-                    dim,
-                    steps,
-                    stencil_tile,
-                    stencil_dim_t,
-                    Some(&team),
-                    stencil_sched,
-                )?
-            };
-            let tel = stencil_telemetry(p, &m, dim, steps, stencil_tile, stencil_dim_t);
-            let e = bench_entry(&m, prec, grid, steps, threads, &cfg, Some(tel));
+        for exec in StencilExec::ALL {
+            let m = measure_stencil(&cfg, exec, &spec)?;
+            let e = bench_entry(&m, &spec, &cfg, stencil_telemetry(exec, &spec, &m));
             print_bench_entry(&e);
             stencil.entries.push(e);
         }
@@ -779,38 +715,19 @@ fn cmd_bench(opts: &Opts) -> Result<(), CmdError> {
 
     let mut lbm = BenchReport::new("lbm");
     println!("\nD3Q19 LBM (lid-driven cavity):");
-    for &prec in precisions {
-        let p = if prec == "dp" {
-            Precision::Dp
-        } else {
-            Precision::Sp
+    for &precision in precisions {
+        let spec = Spec {
+            precision,
+            dim,
+            steps,
+            tile: lbm_tile,
+            dim_t: lbm_dim_t,
+            schedule: lbm_sched,
+            team: &team,
         };
-        for &variant in LBM_VARIANTS {
-            let m = if prec == "dp" {
-                measure_lbm_scheduled::<f64>(
-                    &cfg,
-                    variant,
-                    n,
-                    steps,
-                    lbm_tile,
-                    lbm_dim_t,
-                    Some(&team),
-                    lbm_sched,
-                )?
-            } else {
-                measure_lbm_scheduled::<f32>(
-                    &cfg,
-                    variant,
-                    n,
-                    steps,
-                    lbm_tile,
-                    lbm_dim_t,
-                    Some(&team),
-                    lbm_sched,
-                )?
-            };
-            let tel = lbm_telemetry(p, &m, n, lbm_tile, lbm_dim_t);
-            let e = bench_entry(&m, prec, grid, steps, threads, &cfg, Some(tel));
+        for exec in LbmExec::ALL {
+            let m = measure_lbm(&cfg, exec, &spec)?;
+            let e = bench_entry(&m, &spec, &cfg, lbm_telemetry(exec, &spec, &m));
             print_bench_entry(&e);
             lbm.entries.push(e);
         }
@@ -946,7 +863,7 @@ fn cmd_tune(opts: &Opts) -> Result<(), CmdError> {
                 workload,
                 n,
                 steps,
-                dp,
+                precision: p,
             };
             let out = hill_climb(&space, &seeds, &mut prober, &budget).map_err(CmdError::Msg)?;
 
@@ -1084,78 +1001,58 @@ fn cmd_trace(opts: &Opts) -> Result<(), CmdError> {
     let tracer = Tracer::enabled(threads);
     let instr = Instrument::enabled(threads);
 
+    let obs = Observer::new(&instr, &tracer);
+    let spec = Spec {
+        precision: Precision::Sp,
+        dim,
+        steps,
+        tile,
+        dim_t,
+        schedule,
+        team: &team,
+    };
+
     let (file_name, measurement, telemetry) = match workload.as_str() {
         "stencil" => {
-            let b = Blocking35::try_new(tile.min(nx), tile.min(ny), dim_t)?.with_schedule(schedule);
+            let exec = StencilExec::Parallel35d;
+            let b = spec.stencil_blocking();
             let kernel = SevenPoint::<f32>::heat(0.125);
             let initial =
                 Grid3::<f32>::from_fn(dim, |x, y, z| ((x * 13 + y * 7 + z * 3) % 17) as f32 * 0.1);
             let mut grids = DoubleGrid::from_initial(initial);
             let t0 = Instant::now();
-            let stats = try_parallel35d_sweep(
-                &kernel,
-                &mut grids,
-                steps,
-                b,
-                &team,
-                None,
-                &Observer::new(&instr, &tracer),
-            )?;
+            let stats = exec.sweep(&kernel, &mut grids, steps, b, &team, &obs)?;
             let secs = t0.elapsed().as_secs_f64();
-            let timing = instr.timing();
             let interior = dim.interior_region(kernel.radius()).len() as u64 * steps as u64;
             let m = Measurement::from_parts(
-                "3.5D blocking",
+                exec.label(),
                 vec![secs],
                 interior,
                 stats,
                 stats.overestimation(),
-                Some(timing.barrier_share()),
-                Some(timing.wait_hist),
+                Some(&instr.timing()),
             );
-            let tel = stencil_telemetry(Precision::Sp, &m, dim, steps, tile, dim_t);
+            let tel = stencil_telemetry(exec, &spec, &m);
             ("TRACE_stencil.json", m, tel)
         }
         "lbm" => {
-            let b =
-                LbmBlocking::try_new(tile.min(nx), tile.min(ny), dim_t)?.with_schedule(schedule);
+            let exec = LbmExec::Blocked35d;
             let mut lat: Lattice<f32> = scenarios::lid_driven_cavity(dim, 1.2, 0.05);
+            let b = spec.lbm_blocking();
             let t0 = Instant::now();
-            try_lbm35d_sweep(
-                &mut lat,
-                steps,
-                b,
-                Some(&team),
-                None,
-                &Observer::new(&instr, &tracer),
-            )?;
+            exec.sweep(&mut lat, steps, b, Some(&team), None, &obs)?;
             let secs = t0.elapsed().as_secs_f64();
-            let timing = instr.timing();
-            // Model the traffic the way `measure_lbm` does: each dim_T
-            // chunk streams the whole lattice in and out once.
-            let q = threefive::lbm::model::Q as u64;
-            let lattice_bytes = dim.len() as u64 * q * 4;
-            let chunks = steps.div_ceil(dim_t) as u64;
-            let stats = threefive::core::stats::SweepStats {
-                stencil_updates: 0,
-                committed_points: 0,
-                dram_bytes_read: lattice_bytes * chunks,
-                dram_bytes_written: lattice_bytes * chunks,
-            };
-            let loaded_x = tile.min(nx) + 2 * dim_t;
-            let loaded_y = tile.min(ny) + 2 * dim_t;
-            let kappa = threefive::core::planner::kappa_35d(1, dim_t, loaded_x, loaded_y);
+            let (stats, kappa) = lbm_traffic_and_kappa(exec, &spec);
             let interior = dim.interior_region(1).len() as u64 * steps as u64;
             let m = Measurement::from_parts(
-                "3.5D blocking",
+                exec.label(),
                 vec![secs],
                 interior,
                 stats,
                 kappa,
-                Some(timing.barrier_share()),
-                Some(timing.wait_hist),
+                Some(&instr.timing()),
             );
-            let tel = lbm_telemetry(Precision::Sp, &m, nx.max(ny).max(nz), tile, dim_t);
+            let tel = lbm_telemetry(exec, &spec, &m);
             ("TRACE_lbm.json", m, tel)
         }
         other => {

@@ -6,6 +6,8 @@ use std::process::{Command, Output};
 
 use threefive::bench::json::Json;
 use threefive::bench::report::{BenchReport, BENCH_SCHEMA_VERSION};
+use threefive::core::exec::StencilExec;
+use threefive::lbm::LbmExec;
 
 fn threefive(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_threefive"))
@@ -97,25 +99,32 @@ fn run_reports_interior_mups_with_warmup() {
     assert!(text.contains("barrier-wait share"), "{text}");
 }
 
-/// ROADMAP 1a: a variant that executes on no thread team must not print
-/// a thread count it never used — it refuses `--threads N > 1` naming
-/// the flag, and reports one thread otherwise. (Every `lbm` variant runs
-/// on the team, so there is nothing to refuse there.)
+/// A variant that executes on no thread team must not print a thread
+/// count it never used — it refuses `--threads N > 1` naming the flag,
+/// and reports one thread otherwise. Which variants those are is read
+/// from the registry, so the CLI cannot drift from it. (Every `lbm`
+/// variant runs on the team, so there is nothing to refuse there.)
 #[test]
 fn run_refuses_threads_on_single_threaded_variants() {
-    for variant in ["ref", "simd", "25d", "3d", "4d"] {
+    for exec in StencilExec::ALL {
+        let variant = exec.cli_name();
         let base = [
             "run",
             "--n",
             "16",
             "--steps",
-            "1",
+            "2",
             "--db",
             "none",
             "--variant",
             variant,
         ];
         let out = threefive(&[&base[..], &["--threads", "2"]].concat());
+        if exec.uses_team() {
+            assert!(out.status.success(), "{variant}: {}", stderr(&out));
+            assert!(stdout(&out).contains("2 thread(s)"), "{}", stdout(&out));
+            continue;
+        }
         assert!(!out.status.success(), "{variant}: must exit nonzero");
         let err = stderr(&out);
         assert!(
@@ -129,23 +138,6 @@ fn run_refuses_threads_on_single_threaded_variants() {
             assert!(out.status.success(), "{variant}: {}", stderr(&out));
             assert!(stdout(&out).contains("1 thread(s)"), "{}", stdout(&out));
         }
-    }
-    for variant in ["temporal", "35d", "tile35"] {
-        let out = threefive(&[
-            "run",
-            "--n",
-            "16",
-            "--steps",
-            "2",
-            "--db",
-            "none",
-            "--variant",
-            variant,
-            "--threads",
-            "2",
-        ]);
-        assert!(out.status.success(), "{variant}: {}", stderr(&out));
-        assert!(stdout(&out).contains("2 thread(s)"), "{}", stdout(&out));
     }
     let out = threefive(&[
         "lbm",
@@ -161,6 +153,26 @@ fn run_refuses_threads_on_single_threaded_variants() {
     assert!(out.status.success(), "{}", stderr(&out));
 }
 
+/// An unknown `--variant` exits nonzero listing every registered name,
+/// and the usage text offers the same list.
+#[test]
+fn unknown_variant_lists_every_registered_name() {
+    let stencil: Vec<&str> = StencilExec::ALL.map(StencilExec::cli_name).into();
+    let lbm: Vec<&str> = LbmExec::ALL.map(LbmExec::cli_name).into();
+    for (cmd, names) in [("run", &stencil), ("lbm", &lbm)] {
+        let out = threefive(&[cmd, "--n", "8", "--steps", "1", "--variant", "bogus"]);
+        assert!(!out.status.success(), "{cmd}: must exit nonzero");
+        let err = stderr(&out);
+        assert!(err.contains("unknown variant 'bogus'"), "{cmd}: {err}");
+        for name in names {
+            assert!(err.contains(name), "{cmd}: '{name}' missing from {err}");
+        }
+    }
+    let usage = stderr(&threefive(&["help"]));
+    assert!(usage.contains(&stencil.join("|")), "{usage}");
+    assert!(usage.contains(&lbm.join("|")), "{usage}");
+}
+
 #[test]
 fn bench_writes_schema_versioned_reports_that_validate() {
     let dir = scratch_dir("bench_out");
@@ -172,21 +184,45 @@ fn bench_writes_schema_versioned_reports_that_validate() {
         "2",
         "--reps",
         "1",
+        "--db",
+        "none",
         "--out",
         dir.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
 
+    // The report's variant/schedule strings, pinned byte for byte.
+    let stencil: &[(&str, &str)] = &[
+        ("scalar", "none"),
+        ("simd no-blocking", "none"),
+        ("3D blocking", "none"),
+        ("spatial only", "none"),
+        ("temporal only", "lag35d"),
+        ("4D blocking", "none"),
+        ("3.5D blocking", "lag35d"),
+        ("tile 3.5D", "lag35d"),
+    ];
+    let lbm: &[(&str, &str)] = &[
+        ("scalar no-blocking", "none"),
+        ("simd no-blocking", "none"),
+        ("temporal only", "lag35d"),
+        ("3.5D blocking", "lag35d"),
+    ];
     for (name, kind, expect_variants) in [
-        ("BENCH_stencil.json", "stencil", 8usize),
-        ("BENCH_lbm.json", "lbm", 4usize),
+        ("BENCH_stencil.json", "stencil", stencil),
+        ("BENCH_lbm.json", "lbm", lbm),
     ] {
         let path = dir.join(name);
         let text = std::fs::read_to_string(&path).expect("report written");
         let report = BenchReport::validate_str(&text).expect("schema-valid");
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.kind, kind);
-        assert_eq!(report.entries.len(), expect_variants);
+        let variants: Vec<(&str, &str)> = report
+            .entries
+            .iter()
+            .map(|e| (e.variant.as_str(), e.schedule.as_str()))
+            .collect();
+        assert_eq!(variants, expect_variants);
         for e in &report.entries {
             assert_eq!(e.grid, [16, 16, 16]);
             assert_eq!(e.steps, 2);

@@ -1,7 +1,12 @@
-//! Cross-crate integration: every stencil executor, every kernel shape,
-//! bit-exact against the scalar reference — the repository's core
-//! correctness contract.
+//! Pinned ladder cases — shapes, tiles and depths worth keeping fixed —
+//! run on every registered stencil executor through the conformance
+//! checks (`tests/conformance.rs` samples the rest), plus two facts
+//! beyond bit-equality: the planner's parameters drive an executor
+//! directly, and the Dirichlet rim never changes.
 
+mod common;
+
+use common::{check_stencil, Case};
 use threefive::prelude::*;
 
 fn initial<T: Real>(dim: Dim3) -> Grid3<T> {
@@ -10,103 +15,53 @@ fn initial<T: Real>(dim: Dim3) -> Grid3<T> {
     })
 }
 
-fn run_all_f32(dim: Dim3, steps: usize, tile: usize, dim_t: usize) {
-    let kernel = SevenPoint::<f32>::new(0.35, 0.105);
-    let mut want = DoubleGrid::from_initial(initial::<f32>(dim));
-    reference_sweep(&kernel, &mut want, steps);
+/// Every stencil rung on `dim`, bit-exact against the reference.
+fn ladder<T: Real, K: StencilKernel<T>>(
+    kernel: &K,
+    dim: Dim3,
+    steps: usize,
+    tile: (usize, usize),
+    dim_t: usize,
+    threads: usize,
+) {
+    let case = Case::pinned(dim, tile, dim_t, steps);
+    check_stencil(kernel, &case, &ThreadTeam::new(threads)).unwrap();
+}
 
-    let mk = || DoubleGrid::from_initial(initial::<f32>(dim));
-    let team = ThreadTeam::new(3);
-
-    let mut g = mk();
-    simd_sweep(&kernel, &mut g, steps);
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "simd");
-
-    let mut g = mk();
-    blocked3d_sweep(&kernel, &mut g, steps, tile.min(16));
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "3d");
-
-    let mut g = mk();
-    blocked25d_sweep(&kernel, &mut g, steps, tile, tile);
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "2.5d");
-
-    let mut g = mk();
-    temporal_sweep(&kernel, &mut g, steps, dim_t);
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "temporal");
-
-    let mut g = mk();
-    blocked4d_sweep(&kernel, &mut g, steps, tile.min(12), dim_t);
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "4d");
-
-    let mut g = mk();
-    blocked35d_sweep(&kernel, &mut g, steps, Blocking35::new(tile, tile, dim_t));
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "3.5d serial");
-
-    let mut g = mk();
-    parallel35d_sweep(
-        &kernel,
-        &mut g,
-        steps,
-        Blocking35::new(tile, tile, dim_t),
-        &team,
-    );
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "3.5d parallel");
+fn seven_point() -> SevenPoint<f32> {
+    SevenPoint::new(0.35, 0.105)
 }
 
 #[test]
 fn full_ladder_small_cube() {
-    run_all_f32(Dim3::cube(16), 4, 8, 2);
+    ladder(&seven_point(), Dim3::cube(16), 4, (8, 8), 2, 3);
 }
 
 #[test]
 fn full_ladder_anisotropic_grid() {
-    run_all_f32(Dim3::new(23, 11, 17), 3, 7, 3);
+    ladder(&seven_point(), Dim3::new(23, 11, 17), 3, (7, 7), 3, 3);
 }
 
 #[test]
 fn full_ladder_tile_larger_than_grid() {
-    run_all_f32(Dim3::cube(12), 5, 64, 2);
+    ladder(&seven_point(), Dim3::cube(12), 5, (64, 64), 2, 3);
 }
 
 #[test]
 fn full_ladder_deep_temporal_blocking() {
-    run_all_f32(Dim3::cube(20), 8, 10, 4);
+    ladder(&seven_point(), Dim3::cube(20), 8, (10, 10), 4, 3);
 }
 
 #[test]
 fn ladder_f64_27_point() {
-    let dim = Dim3::cube(12);
-    let steps = 3;
     let kernel = TwentySevenPoint::<f64>::smoothing();
-    let mut want = DoubleGrid::from_initial(initial::<f64>(dim));
-    reference_sweep(&kernel, &mut want, steps);
-
-    let mut g = DoubleGrid::from_initial(initial::<f64>(dim));
-    blocked35d_sweep(&kernel, &mut g, steps, Blocking35::new(6, 5, 2));
-    assert_eq!(g.src().as_slice(), want.src().as_slice());
-
-    let team = ThreadTeam::new(4);
-    let mut g = DoubleGrid::from_initial(initial::<f64>(dim));
-    parallel35d_sweep(&kernel, &mut g, steps, Blocking35::new(6, 5, 2), &team);
-    assert_eq!(g.src().as_slice(), want.src().as_slice());
+    ladder(&kernel, Dim3::cube(12), 3, (6, 5), 2, 4);
 }
 
 #[test]
 fn ladder_radius_two_star() {
-    let dim = Dim3::cube(18);
-    let steps = 4;
     let kernel = GenericStar::<f32>::smoothing(2);
-    let mut want = DoubleGrid::from_initial(initial::<f32>(dim));
-    reference_sweep(&kernel, &mut want, steps);
-
-    let mut g = DoubleGrid::from_initial(initial::<f32>(dim));
-    blocked35d_sweep(&kernel, &mut g, steps, Blocking35::new(9, 8, 2));
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "3.5d r=2");
-
-    let team = ThreadTeam::new(2);
-    let mut g = DoubleGrid::from_initial(initial::<f32>(dim));
-    parallel35d_sweep(&kernel, &mut g, steps, Blocking35::new(9, 8, 2), &team);
-    assert_eq!(g.src().as_slice(), want.src().as_slice(), "parallel r=2");
+    ladder(&kernel, Dim3::cube(18), 4, (9, 8), 2, 2);
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! Cross-crate LBM integration: executor equivalence on realistic
 //! scenarios and physics sanity at the system level.
 
+mod common;
+
+use common::{check_lbm, Case};
 use threefive::lbm::scenarios;
 use threefive::prelude::*;
 
@@ -12,29 +15,10 @@ fn assert_equal<T: Real>(a: &Lattice<T>, b: &Lattice<T>, what: &str) {
 
 #[test]
 fn all_lbm_executors_agree_on_cavity_flow() {
-    let dim = Dim3::new(20, 14, 12);
-    let steps = 6;
-    let build = || scenarios::lid_driven_cavity::<f32>(dim, 1.15, 0.06);
-
-    let mut want = build();
-    lbm_naive_sweep(&mut want, steps, LbmMode::Scalar, None);
-
-    let mut simd = build();
-    lbm_naive_sweep(&mut simd, steps, LbmMode::Simd, None);
-    assert_equal(&want, &simd, "simd");
-
-    let team = ThreadTeam::new(3);
-    let mut par = build();
-    lbm_naive_sweep(&mut par, steps, LbmMode::Simd, Some(&team));
-    assert_equal(&want, &par, "parallel naive");
-
-    let mut temporal = build();
-    lbm_temporal_sweep(&mut temporal, steps, 3, None);
-    assert_equal(&want, &temporal, "temporal");
-
-    let mut blocked = build();
-    lbm35d_sweep(&mut blocked, steps, LbmBlocking::new(8, 6, 3), Some(&team));
-    assert_equal(&want, &blocked, "3.5d parallel");
+    let dim = Dim3::new(16, 12, 10);
+    let build = || scenarios::lid_driven_cavity(dim, 1.15, 0.06);
+    let case = Case::pinned(dim, (7, 5), 3, 4);
+    check_lbm(&build, &case, &ThreadTeam::new(3)).unwrap();
 }
 
 #[test]

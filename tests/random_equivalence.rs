@@ -1,9 +1,12 @@
-//! Property-based cross-crate equivalence: random grids, tilings,
-//! temporal factors, team sizes and kernels — the 3.5-D pipeline must
-//! always equal the reference bit for bit.
+//! Property-based equivalence of single executors: random grids,
+//! tilings, temporal factors, team sizes and kernels — each sweep must
+//! equal its reference bit for bit. (Every registered executor at once
+//! is walked by `tests/conformance.rs`.)
 
+mod common;
+
+use common::{matches_reference, seeded};
 use proptest::prelude::*;
-use threefive::lbm::scenarios;
 use threefive::prelude::*;
 
 proptest! {
@@ -19,54 +22,16 @@ proptest! {
         dim_t in 1usize..5,
         steps in 1usize..7,
         threads in 1usize..5,
-        seed in 0u64..1000,
+        seed in 0usize..1000,
     ) {
-        let dim = Dim3::new(nx, ny, nz);
         let kernel = SevenPoint::<f32>::new(0.3, 0.1);
-        let init = Grid3::from_fn(dim, |x, y, z| {
-            let h = x
-                .wrapping_mul(0x9E37)
-                .wrapping_add(y.wrapping_mul(0x79B9))
-                .wrapping_add(z.wrapping_mul(0x85EB))
-                .wrapping_add(seed as usize);
-            ((h % 97) as f32) * 0.02 - 1.0
-        });
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-
-        let mut got = DoubleGrid::from_initial(init.clone());
-        blocked35d_sweep(&kernel, &mut got, steps, Blocking35::new(tile_x, tile_y, dim_t));
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
-
+        let init = seeded(Dim3::new(nx, ny, nz), seed);
+        let b = Blocking35::new(tile_x, tile_y, dim_t);
+        matches_reference(&kernel, &init, steps, |g| blocked35d_sweep(&kernel, g, steps, b))?;
         let team = ThreadTeam::new(threads);
-        let mut got = DoubleGrid::from_initial(init);
-        parallel35d_sweep(&kernel, &mut got, steps, Blocking35::new(tile_x, tile_y, dim_t), &team);
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
-    }
-
-    #[test]
-    fn random_lbm_pipeline_equivalence(
-        n in 6usize..13,
-        tile in 3usize..14,
-        dim_t in 1usize..5,
-        steps in 1usize..6,
-        lid in 0u8..2,
-    ) {
-        let dim = Dim3::cube(n);
-        let build = || -> Lattice<f32> {
-            if lid == 0 {
-                scenarios::closed_box(dim, 1.25)
-            } else {
-                scenarios::lid_driven_cavity(dim, 1.25, 0.05)
-            }
-        };
-        let mut want = build();
-        lbm_naive_sweep(&mut want, steps, LbmMode::Simd, None);
-        let mut got = build();
-        lbm35d_sweep(&mut got, steps, LbmBlocking::new(tile, tile, dim_t), None);
-        for q in 0..19 {
-            prop_assert_eq!(want.src().comp(q), got.src().comp(q));
-        }
+        matches_reference(&kernel, &init, steps, |g| {
+            parallel35d_sweep(&kernel, g, steps, b, &team)
+        })?;
     }
 
     /// The unified engine must stay bit-identical to the reference for
@@ -85,32 +50,17 @@ proptest! {
         dim_t in 1usize..4,
         steps in 1usize..5,
         team_pick in 0usize..3,
-        seed in 0u64..1000,
+        seed in 0usize..1000,
     ) {
-        let dim = Dim3::new(nx, ny, nz);
         let kernel = GenericStar::<f32>::smoothing(r);
-        let init = Grid3::from_fn(dim, |x, y, z| {
-            let h = x
-                .wrapping_mul(0x9E37)
-                .wrapping_add(y.wrapping_mul(0x79B9))
-                .wrapping_add(z.wrapping_mul(0x85EB))
-                .wrapping_add(seed as usize);
-            ((h % 89) as f32) * 0.02 - 0.9
-        });
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-
+        let init = seeded(Dim3::new(nx, ny, nz), seed);
         let b = Blocking35::new(tile_x, tile_y, dim_t);
-        let mut got = DoubleGrid::from_initial(init.clone());
-        blocked35d_sweep(&kernel, &mut got, steps, b);
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
-
-        let threads = [1usize, 2, 4][team_pick];
-        let team = ThreadTeam::new(threads);
-        let mut got = DoubleGrid::from_initial(init);
-        try_parallel35d_sweep(&kernel, &mut got, steps, b, &team, None, &Observer::disabled())
-            .expect("engine sweep runs");
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
+        matches_reference(&kernel, &init, steps, |g| blocked35d_sweep(&kernel, g, steps, b))?;
+        let team = ThreadTeam::new([1usize, 2, 4][team_pick]);
+        matches_reference(&kernel, &init, steps, |g| {
+            try_parallel35d_sweep(&kernel, g, steps, b, &team, None, &Observer::disabled())
+                .expect("engine sweep runs")
+        })?;
     }
 
     #[test]
@@ -120,14 +70,28 @@ proptest! {
         dim_t in 1usize..4,
         steps in 1usize..6,
     ) {
-        let dim = Dim3::cube(n);
         let kernel = SevenPoint::<f64>::new(0.25, 0.125);
-        let init = Grid3::from_fn(dim, |x, y, z| ((x * 7 + y * 11 + z * 13) % 23) as f64 * 0.1);
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-        let mut got = DoubleGrid::from_initial(init);
-        blocked4d_sweep(&kernel, &mut got, steps, block, dim_t);
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
+        let init = seeded(Dim3::cube(n), 0);
+        matches_reference(&kernel, &init, steps, |g| {
+            blocked4d_sweep(&kernel, g, steps, block, dim_t)
+        })?;
+    }
+
+    /// The tile-queue scheduling matches the reference for random inputs.
+    #[test]
+    fn random_tile_parallel_equivalence(
+        n in 5usize..15,
+        tile in 2usize..12,
+        dim_t in 1usize..4,
+        steps in 1usize..5,
+        threads in 1usize..5,
+    ) {
+        let kernel = SevenPoint::<f64>::new(0.25, 0.12);
+        let init = seeded(Dim3::cube(n), 0);
+        let team = ThreadTeam::new(threads);
+        matches_reference(&kernel, &init, steps, |g| {
+            tile_parallel35d_sweep(&kernel, g, steps, Blocking35::new(tile, tile, dim_t), &team)
+        })?;
     }
 }
 
@@ -162,26 +126,6 @@ proptest! {
             Blocking35::new(tile, tile, dim_t),
             Some(&team),
         );
-        prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
-    }
-
-    /// The tile-queue scheduling matches the reference for random inputs.
-    #[test]
-    fn random_tile_parallel_equivalence(
-        n in 5usize..15,
-        tile in 2usize..12,
-        dim_t in 1usize..4,
-        steps in 1usize..5,
-        threads in 1usize..5,
-    ) {
-        let dim = Dim3::cube(n);
-        let kernel = SevenPoint::<f64>::new(0.25, 0.12);
-        let init = Grid3::from_fn(dim, |x, y, z| ((x * 3 + y * 5 + z * 7) % 11) as f64 * 0.2);
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-        let team = ThreadTeam::new(threads);
-        let mut got = DoubleGrid::from_initial(init);
-        tile_parallel35d_sweep(&kernel, &mut got, steps, Blocking35::new(tile, tile, dim_t), &team);
         prop_assert_eq!(got.src().as_slice(), want.src().as_slice());
     }
 }

@@ -1,14 +1,38 @@
-//! Cross-schedule equivalence: every temporal-blocking schedule behind
-//! the unified engine — the paper's 3.5-D lag schedule, the shared-cache
-//! wavefront, and the wavefront-diamond — must produce results
-//! bit-identical to the scalar reference, for every kernel the engine
-//! runs, across team sizes, radii and non-divisible tiles. The schedule
-//! only reorders *when* a (plane, level) is computed, never what is
-//! computed, so the outputs must agree to the last bit.
+//! Every temporal-blocking schedule — the paper's 3.5-D lag schedule,
+//! the shared-cache wavefront and the wavefront-diamond — on pinned
+//! non-divisible cases at every team size, and through the
+//! graceful-degradation ladder. (`tests/conformance.rs` samples each
+//! schedule on every kernel, shape and tiling.)
 
-use proptest::prelude::*;
+mod common;
+
+use common::{check_lbm, check_stencil, on_every_team, Case};
 use threefive::lbm::scenarios;
 use threefive::prelude::*;
+
+#[test]
+fn every_schedule_matches_the_stencil_reference() {
+    let case = Case::pinned(Dim3::new(13, 11, 9), (5, 7), 3, 5);
+    on_every_team(|team| check_stencil(&SevenPoint::<f32>::new(0.3, 0.1), &case, team));
+}
+
+/// Higher radii R = 2, 3: the schedules' lag/ring formulas differ the
+/// most here, so a wrong formula shows up as a bit divergence.
+#[test]
+fn every_schedule_matches_the_star_reference_at_higher_radius() {
+    let case = Case::pinned(Dim3::cube(11), (6, 5), 2, 3);
+    for r in [2, 3] {
+        on_every_team(|team| check_stencil(&GenericStar::<f32>::smoothing(r), &case, team));
+    }
+}
+
+#[test]
+fn every_schedule_matches_the_lbm_reference() {
+    let dim = Dim3::new(9, 7, 6);
+    let case = Case::pinned(dim, (4, 5), 3, 4);
+    let build = || scenarios::lid_driven_cavity(dim, 1.25, 0.05);
+    on_every_team(|team| check_lbm(&build, &case, team));
+}
 
 fn seeded_grid(dim: Dim3, seed: u64) -> Grid3<f32> {
     Grid3::from_fn(dim, |x, y, z| {
@@ -19,125 +43,6 @@ fn seeded_grid(dim: Dim3, seed: u64) -> Grid3<f32> {
             .wrapping_add(seed as usize);
         ((h % 97) as f32) * 0.02 - 1.0
     })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// 7-point stencil: all three schedules vs the reference, serial and
-    /// parallel, on random shapes and non-divisible tiles.
-    #[test]
-    fn every_schedule_matches_the_stencil_reference(
-        nx in 5usize..18,
-        ny in 5usize..18,
-        nz in 5usize..15,
-        tile_x in 2usize..13,
-        tile_y in 2usize..13,
-        dim_t in 1usize..5,
-        steps in 1usize..6,
-        team_pick in 0usize..3,
-        seed in 0u64..1000,
-    ) {
-        let dim = Dim3::new(nx, ny, nz);
-        let kernel = SevenPoint::<f32>::new(0.3, 0.1);
-        let init = seeded_grid(dim, seed);
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-
-        let threads = [1usize, 2, 4][team_pick];
-        let team = ThreadTeam::new(threads);
-        for schedule in ScheduleKind::ALL {
-            let b = Blocking35::new(tile_x, tile_y, dim_t).with_schedule(schedule);
-            let mut got = DoubleGrid::from_initial(init.clone());
-            try_parallel35d_sweep(&kernel, &mut got, steps, b, &team, None, &Observer::disabled())
-                .expect("engine sweep runs");
-            prop_assert_eq!(
-                got.src().as_slice(),
-                want.src().as_slice(),
-                "schedule {} diverged ({threads} threads)",
-                schedule
-            );
-        }
-    }
-
-    /// Higher radii R = 2, 3: the schedules' lag/ring formulas differ the
-    /// most here (wavefront lag (R+1)(t−1) vs lag35 2R(t−1); diamond ring
-    /// 2(4+R) slots), so a wrong formula shows up as a bit divergence.
-    #[test]
-    fn every_schedule_matches_the_star_reference_at_higher_radius(
-        r in 2usize..4,
-        n in 9usize..16,
-        tile in 4usize..12,
-        dim_t in 1usize..4,
-        steps in 1usize..4,
-        team_pick in 0usize..3,
-        seed in 0u64..1000,
-    ) {
-        let dim = Dim3::cube(n);
-        let kernel = GenericStar::<f32>::smoothing(r);
-        let init = seeded_grid(dim, seed);
-        let mut want = DoubleGrid::from_initial(init.clone());
-        reference_sweep(&kernel, &mut want, steps);
-
-        let threads = [1usize, 2, 4][team_pick];
-        let team = ThreadTeam::new(threads);
-        for schedule in ScheduleKind::ALL {
-            let b = Blocking35::new(tile, tile, dim_t).with_schedule(schedule);
-            let mut got = DoubleGrid::from_initial(init.clone());
-            try_parallel35d_sweep(&kernel, &mut got, steps, b, &team, None, &Observer::disabled())
-                .expect("engine sweep runs");
-            prop_assert_eq!(
-                got.src().as_slice(),
-                want.src().as_slice(),
-                "schedule {} diverged (R={}, {} threads)",
-                schedule,
-                r,
-                threads
-            );
-        }
-    }
-
-    /// LBM rides the same engine: each schedule must reproduce the naive
-    /// sweep bit-exactly on both closed-box and lid-driven scenarios.
-    #[test]
-    fn every_schedule_matches_the_lbm_reference(
-        n in 6usize..13,
-        tile in 3usize..12,
-        dim_t in 1usize..4,
-        steps in 1usize..5,
-        lid in 0u8..2,
-        team_pick in 0usize..3,
-    ) {
-        let dim = Dim3::cube(n);
-        let build = || -> Lattice<f32> {
-            if lid == 0 {
-                scenarios::closed_box(dim, 1.25)
-            } else {
-                scenarios::lid_driven_cavity(dim, 1.25, 0.05)
-            }
-        };
-        let mut want = build();
-        lbm_naive_sweep(&mut want, steps, LbmMode::Simd, None);
-
-        let threads = [1usize, 2, 4][team_pick];
-        let team = ThreadTeam::new(threads);
-        for schedule in ScheduleKind::ALL {
-            let b = LbmBlocking::new(tile, tile, dim_t).with_schedule(schedule);
-            let mut got = build();
-            try_lbm35d_sweep(&mut got, steps, b, Some(&team), None, &Observer::disabled())
-                .expect("lbm sweep runs");
-            for q in 0..19 {
-                prop_assert_eq!(
-                    want.src().comp(q),
-                    got.src().comp(q),
-                    "schedule {} diverged at component {} ({} threads)",
-                    schedule,
-                    q,
-                    threads
-                );
-            }
-        }
-    }
 }
 
 /// A tuned plan carrying a non-default schedule executes through the
